@@ -9,6 +9,7 @@ documents.
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 
 from .matroids import (
     GraphicMatroid,
@@ -30,16 +31,41 @@ def _require(doc, key, where):
     return doc[key]
 
 
+def _integer(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InstanceFormatError(
+            f"{where}: expected an integer, got {value!r}") from None
+
+
+def _of_type(value, kinds, what, where):
+    if not isinstance(value, kinds):
+        raise InstanceFormatError(f"{where}: expected {what}, got {value!r}")
+    return value
+
+
+def _object(doc, key, where):
+    return _of_type(_require(doc, key, where), dict, "an object",
+                    f"{where}.{key}")
+
+
+def _list(value, what, where):
+    return _of_type(value, (list, tuple), f"a list of {what}", where)
+
+
 def _matroid_from_doc(doc, names, where):
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{where}: expected an object")
     kind = _require(doc, "type", where)
     try:
         if kind == "uniform":
-            return UniformMatroid(int(_require(doc, "rank", where)), len(names))
+            return UniformMatroid(
+                _integer(_require(doc, "rank", where), f"{where}.rank"),
+                len(names))
         if kind == "partition":
-            block_doc = _require(doc, "block_of", where)
-            cap_doc = _require(doc, "capacity", where)
+            block_doc = _object(doc, "block_of", where)
+            cap_doc = _object(doc, "capacity", where)
             labels = sorted(cap_doc)
             label_id = {lab: i for i, lab in enumerate(labels)}
             block_of = []
@@ -48,31 +74,40 @@ def _matroid_from_doc(doc, names, where):
                     raise InstanceFormatError(
                         f"{where}.block_of: no block for element '{name}'")
                 lab = block_doc[name]
-                if lab not in label_id:
+                if not isinstance(lab, Hashable) or lab not in label_id:
                     raise InstanceFormatError(
                         f"{where}.block_of['{name}']: unknown block '{lab}'")
                 block_of.append(label_id[lab])
-            return PartitionMatroid(block_of,
-                                    [int(cap_doc[lab]) for lab in labels])
+            return PartitionMatroid(
+                block_of, [_integer(cap_doc[lab], f"{where}.capacity['{lab}']")
+                           for lab in labels])
         if kind == "graphic":
-            vertices = int(_require(doc, "vertices", where))
-            edge_doc = _require(doc, "edge", where)
+            vertices = _integer(_require(doc, "vertices", where),
+                                f"{where}.vertices")
+            edge_doc = _object(doc, "edge", where)
             edges = []
             for name in names:
                 if name not in edge_doc:
                     raise InstanceFormatError(
                         f"{where}.edge: no endpoints for element '{name}'")
-                edges.append(tuple(edge_doc[name]))
+                at = f"{where}.edge['{name}']"
+                edge = _list(edge_doc[name], "two endpoints", at)
+                if len(edge) != 2:
+                    raise InstanceFormatError(
+                        f"{at}: expected two endpoints, got {len(edge)}")
+                edges.append(tuple(_integer(v, at) for v in edge))
             return GraphicMatroid(vertices, edges)
         if kind == "linear":
-            prime = int(_require(doc, "prime", where))
-            col_doc = _require(doc, "column", where)
+            prime = _integer(_require(doc, "prime", where), f"{where}.prime")
+            col_doc = _object(doc, "column", where)
             columns = []
             for name in names:
                 if name not in col_doc:
                     raise InstanceFormatError(
                         f"{where}.column: no column for element '{name}'")
-                columns.append(col_doc[name])
+                at = f"{where}.column['{name}']"
+                columns.append([_integer(v, at) for v in
+                                _list(col_doc[name], "integers", at)])
             return LinearMatroid(prime, columns)
     except MatroidSpecError as exc:
         raise InstanceFormatError(f"{where}: {exc}") from exc
@@ -83,7 +118,10 @@ def parse_instance_doc(doc):
     """Validate a parsed document and return (RainbowInstance, names)."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("document: expected an object")
-    names = _require(doc, "ground", "document")
+    names = _list(_require(doc, "ground", "document"), "element names",
+                  "ground")
+    for k, name in enumerate(names):
+        _of_type(name, Hashable, "an element name", f"ground[{k}]")
     if len(set(names)) != len(names):
         raise InstanceFormatError("ground: duplicate element names")
     ids = {name: i for i, name in enumerate(names)}
@@ -91,13 +129,13 @@ def parse_instance_doc(doc):
                                  names, "matroid_M")
     n_oracle = _matroid_from_doc(_require(doc, "matroid_N", "document"),
                                  names, "matroid_N")
-    n = int(_require(doc, "n", "document"))
-    family_doc = _require(doc, "family", "document")
+    n = _integer(_require(doc, "n", "document"), "n")
+    family_doc = _list(_require(doc, "family", "document"), "sets", "family")
     family = []
     for idx, row in enumerate(family_doc):
         members = set()
-        for name in row:
-            if name not in ids:
+        for name in _list(row, "element names", f"family[{idx}]"):
+            if not isinstance(name, Hashable) or name not in ids:
                 raise InstanceFormatError(
                     f"family[{idx}]: unknown element '{name}'")
             members.add(ids[name])

@@ -172,6 +172,8 @@ def _augmenting_path(m1, m2, current, order):
             return [y]
         queue.append(y)
     inside = [x for x in order if x in s]
+    # M1 circuit of each non-source addition, computed at most once here.
+    m1_circuit = {}
     while queue:
         node = queue.popleft()
         if node in s:
@@ -180,8 +182,10 @@ def _augmenting_path(m1, m2, current, order):
             for y in outside:
                 if y in parent:
                     continue
-                if not m1.is_independent(s | {y}) and \
-                        node in m1.fundamental_circuit(s, y):
+                # Every source has a parent, so s + y is dependent in M1.
+                if y not in m1_circuit:
+                    m1_circuit[y] = m1.fundamental_circuit(s, y)
+                if node in m1_circuit[y]:
                     parent[y] = node
                     if y in sinks:
                         path = [y]
@@ -190,9 +194,8 @@ def _augmenting_path(m1, m2, current, order):
                         return path
                     queue.append(y)
         else:
-            # node is an addition; arcs go to removals repairing M2.
-            if m2.is_independent(s | {node}):
-                continue
+            # node is an addition; arcs go to removals repairing M2.  A sink
+            # returns as soon as it is reached, so s + node is dependent in M2.
             for x in sorted(m2.fundamental_circuit(s, node),
                             key=inside.index):
                 if x not in parent:

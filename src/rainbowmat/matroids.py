@@ -1,10 +1,13 @@
 """Independence oracles for four matroid species and the derived machinery.
 
-Every derived operation (rank, span, circuits, augmentation) is computed from
-the independence predicate alone, so a new oracle species plugs in without
-touching the rest of the library.  Oracles are immutable after construction
-and all operations are pure functions of their inputs; instances may be
-shared freely across workers.
+The base class computes every derived operation (rank, span, circuits,
+augmentation) from the independence predicate alone, so a new oracle species
+plugs in without touching the rest of the library.  A species may override a
+derived operation's hook with a closed form: each built-in species overrides
+``_circuit`` (the search inside ``fundamental_circuit``), and the
+predicate-only base versions stay as the reference the tests compare against.
+Oracles are immutable after construction and all operations are pure
+functions of their inputs; instances may be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ def is_prime(p):
     return True
 
 
-def gfp_rank(vectors, p):
-    """Rank of a list of vectors over GF(p), by exact Gaussian elimination."""
-    rows = [list(v) for v in vectors]
+def gfp_reduce(rows, p):
+    """Bring a list of equal-length rows over GF(p) to reduced row echelon
+    form in place, by exact Gauss-Jordan elimination; returns the rank."""
     if not rows:
         return 0
     width = len(rows[0])
@@ -56,6 +59,11 @@ def gfp_rank(vectors, p):
         if r == len(rows):
             break
     return r
+
+
+def gfp_rank(vectors, p):
+    """Rank of a list of vectors over GF(p), by exact Gaussian elimination."""
+    return gfp_reduce([list(v) for v in vectors], p)
 
 
 class MatroidOracle:
@@ -133,7 +141,7 @@ class MatroidOracle:
         plus = i | {x}
         if self.is_independent(plus):
             raise PreconditionError("I + x is independent; no circuit to extract")
-        circuit = frozenset(a for a in i if self.is_independent(plus - {a}))
+        circuit = self._circuit(i, x)
         if VERIFY_FACTS:
             assert self.is_circuit(circuit | {x})
             span_i = self.span(i)
@@ -141,6 +149,15 @@ class MatroidOracle:
                 assert self.is_independent(plus - {a})
                 assert self.span(plus - {a}) == span_i
         return circuit
+
+    def _circuit(self, i, x):
+        """Species hook of ``fundamental_circuit``: the circuit of x in the
+        independent frozenset i, for i + x dependent, without x.
+
+        This version asks the predicate once per element of i and is the
+        reference every species override is tested against."""
+        plus = i | {x}
+        return frozenset(a for a in i if self.is_independent(plus - {a}))
 
     def augment_from(self, i, j):
         """Elements of j \\ i that extend i to an independent set of size |j|,
@@ -219,6 +236,10 @@ class UniformMatroid(MatroidOracle):
     def _independent(self, s):
         return len(s) <= self.rank_cap
 
+    def _circuit(self, i, x):
+        # i + x is dependent only when i is already full.
+        return i
+
     def describe(self):
         return {"type": "uniform", "rank": self.rank_cap,
                 "ground_size": self.ground_size}
@@ -252,6 +273,11 @@ class PartitionMatroid(MatroidOracle):
             if counts[b] > self.capacity[b]:
                 return False
         return True
+
+    def _circuit(self, i, x):
+        # Only x's block overflows, so only its members in i can make room.
+        b = self.block_of[x]
+        return frozenset(a for a in i if self.block_of[a] == b)
 
     def describe(self):
         return {"type": "partition", "block_of": list(self.block_of),
@@ -297,6 +323,30 @@ class GraphicMatroid(MatroidOracle):
             parent[ru] = rv
         return True
 
+    def _circuit(self, i, x):
+        """The path joining x's endpoints in the forest i; empty for a
+        loop."""
+        u, v = self.edges[x]
+        adjacent = {}
+        for e in i:
+            a, b = self.edges[e]
+            adjacent.setdefault(a, []).append((b, e))
+            adjacent.setdefault(b, []).append((a, e))
+        # i + x is dependent, so v is reachable from u through i.
+        via = {u: None}
+        stack = [u]
+        while v not in via:
+            a = stack.pop()
+            for b, e in adjacent.get(a, ()):
+                if b not in via:
+                    via[b] = (a, e)
+                    stack.append(b)
+        path = set()
+        while via[v] is not None:
+            v, e = via[v]
+            path.add(e)
+        return frozenset(path)
+
     def describe(self):
         return {"type": "graphic", "vertices": self.num_vertices,
                 "edges": [list(e) for e in self.edges]}
@@ -332,6 +382,17 @@ class LinearMatroid(MatroidOracle):
         cols = [self.columns[x] for x in s]
         return gfp_rank(cols, self.prime) == len(cols)
 
+    def _circuit(self, i, x):
+        """The support of x's coordinates on the columns of i, read off one
+        elimination of the matrix [cols(i) | x]."""
+        basis = sorted(i)
+        rows = [[self.columns[a][r] for a in basis] + [self.columns[x][r]]
+                for r in range(self.dimension)]
+        gfp_reduce(rows, self.prime)
+        # The columns of i are independent, so column k pivots in row k,
+        # whose last entry is then x's coordinate on basis[k].
+        return frozenset(a for k, a in enumerate(basis) if rows[k][-1])
+
     def describe(self):
         return {"type": "linear", "prime": self.prime,
                 "columns": [list(c) for c in self.columns]}
@@ -363,6 +424,16 @@ class ParallelLiftMatroid(MatroidOracle):
         if len(set(values)) != len(values):
             return False
         return self.base.is_independent(values)
+
+    def _circuit(self, i, x):
+        """x's parallel copy in i if it has one, else the base circuit of x's
+        value mapped back to the elements of i."""
+        element_of = {self.value_of[a]: a for a in i}
+        value = self.value_of[x]
+        if value in element_of:
+            return frozenset({element_of[value]})
+        return frozenset(element_of[v] for v in
+                         self.base._circuit(frozenset(element_of), value))
 
     def describe(self):
         return {"type": "lift", "value_of": list(self.value_of),

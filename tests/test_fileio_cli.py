@@ -29,6 +29,24 @@ SAMPLE = {
     "family": [["a", "c"], ["b", "c"], ["a", "c"]],
 }
 
+# Malformed variants of SAMPLE: (changed field, new value, error location).
+MALFORMED = {
+    "string_row": ("family", ["ac", ["b", "c"], ["a", "c"]],
+                   r"family\[0\]: expected a list"),
+    "family_not_list": ("family", 5, "family: expected a list"),
+    "rank_not_integer": ("matroid_M", {"type": "uniform", "rank": "x"},
+                         "matroid_M.rank: expected an integer"),
+    "one_endpoint_edge": ("matroid_M",
+                          {"type": "graphic", "vertices": 3,
+                           "edge": {"a": [0], "b": [1, 2], "c": [0, 2]}},
+                          r"matroid_M.edge\['a'\]: expected two endpoints"),
+}
+
+
+def malformed(case):
+    key, value, _where = MALFORMED[case]
+    return {**SAMPLE, key: value}
+
 
 class TestParse:
     def test_sample_round(self):
@@ -66,6 +84,11 @@ class TestParse:
         doc["family"] = [["a"], ["b", "c"], ["a", "c"]]
         with pytest.raises(InstanceFormatError, match="size"):
             parse_instance_doc(doc)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_document_located(self, case):
+        with pytest.raises(InstanceFormatError, match=MALFORMED[case][2]):
+            parse_instance_doc(malformed(case))
 
     def test_degenerate_empty(self):
         doc = {"ground": [], "matroid_M": {"type": "uniform", "rank": 0},
@@ -128,6 +151,15 @@ class TestCli:
         src.write_text("{}")
         assert main(["solve", "--in", str(src)]) == 1
         assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_solve_malformed_document_exit_one(self, case, tmp_path, capsys):
+        src = tmp_path / "bad.json"
+        src.write_text(dumps_doc(malformed(case)))
+        assert main(["solve", "--in", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_generate_then_solve(self, tmp_path):
         path = tmp_path / "gen.json"

@@ -1,6 +1,7 @@
 """Brute force, generators, encodings, matroid intersection, and the
 hypothesis checker."""
 
+import hashlib
 import itertools
 import random
 
@@ -16,7 +17,9 @@ from rainbowmat import (
     brute_force_rainbow,
     check_lemma3,
     drisko_instance,
+    dumps_doc,
     encode_array,
+    instance_to_doc,
     max_common_independent,
     random_instance,
     solve,
@@ -131,6 +134,23 @@ class TestRandomInstance:
     def test_impossible_rank_rejected(self):
         with pytest.raises(GenerationError):
             random_instance("uniform", "uniform", 4, 2, seed=0, ground_size=3)
+
+    def test_generated_documents_pinned(self):
+        # Every family set comes out of max_common_independent, so a change
+        # to circuits or to the augmenting-path search must leave these
+        # documents byte for byte as they are.
+        pairs = (("uniform", "partition"), ("partition", "partition"),
+                 ("partition", "graphic"), ("graphic", "graphic"),
+                 ("graphic", "linear"), ("linear", "linear"))
+        digest = hashlib.sha256()
+        for species_m, species_n in pairs:
+            for n in range(2, 6):
+                for seed in range(3):
+                    inst = random_instance(species_m, species_n, n,
+                                           2 * n - 1, seed)
+                    digest.update(dumps_doc(instance_to_doc(inst)).encode())
+        assert digest.hexdigest() == ("24a70f3225d7df59fbfa239a85e10a77"
+                                      "d7ddf7a97ffd567634619bd0b7f943bc")
 
 
 class TestMaxCommonIndependent:

@@ -12,6 +12,11 @@ from rainbowmat import (
 )
 from rainbowmat.harness import run_all
 from rainbowmat.lab import SPECIES, random_oracle
+from rainbowmat.matroids import (
+    GraphicMatroid,
+    MatroidOracle,
+    ParallelLiftMatroid,
+)
 
 PAIRS = [
     ("uniform", "partition"),
@@ -19,6 +24,16 @@ PAIRS = [
     ("graphic", "linear"),
     ("linear", "uniform"),
 ]
+
+
+def random_lift(g, rng):
+    """A lift of a random multigraph with loops onto more elements than it
+    has edges, so that some elements are parallel copies and some loops."""
+    vertices = rng.randint(2, 4)
+    base = GraphicMatroid(vertices, [(rng.randrange(vertices),
+                                      rng.randrange(vertices))
+                                     for _ in range(g)])
+    return ParallelLiftMatroid([rng.randrange(g) for _ in range(g + 3)], base)
 
 
 class TestMatroidAxioms:
@@ -41,12 +56,16 @@ class TestMatroidAxioms:
                 assert len(added) == len(t) - len(small)
                 assert oracle.is_independent(small | added)
 
-    @pytest.mark.parametrize("species", SPECIES)
+    @pytest.mark.parametrize("species", SPECIES + ("lift",))
     def test_span_and_circuit_consistency(self, species):
         rng = random.Random(77)
         for trial in range(40):
             g = rng.randint(3, 8)
-            oracle = random_oracle(species, g, 1, rng)
+            if species == "lift":
+                oracle = random_lift(g, rng)
+                g = oracle.ground_size
+            else:
+                oracle = random_oracle(species, g, 1, rng)
             s = frozenset(rng.sample(range(g), rng.randint(1, g)))
             sp = oracle.span(s)
             assert s <= sp
@@ -55,6 +74,8 @@ class TestMatroidAxioms:
             for x in sorted(set(range(g)) - i):
                 if x in sp and oracle.is_independent(i):
                     c = oracle.fundamental_circuit(i, x)
+                    # The species' own circuit against the predicate-only one.
+                    assert c == MatroidOracle._circuit(oracle, i, x)
                     assert not oracle.is_independent(c | {x})
                     for y in c:
                         assert oracle.is_independent((i - {y}) | {x})
