@@ -3,6 +3,14 @@ encodings, and randomized harnesses for the oracle-level facts.
 
 Everything here is independent of the sweep machinery in ``solver`` so the
 two can cross-check each other.
+
+``max_common_independent`` keeps, across its augmentations, the elements it
+has found spanned by the current set in M1 (never again a source) and in M2
+(never again a sink), and asks neither predicate about them again; sinks are
+tested only when the search reaches them.  This is exact because augmenting
+along a shortest path never shrinks a span (Cunningham 1986), and it uses
+only the independence predicate and ``fundamental_circuit``, so it holds for
+every species.
 """
 
 from __future__ import annotations
@@ -155,23 +163,44 @@ def brute_force_rainbow(instance, target):
     return None
 
 
-def _augmenting_path(m1, m2, current, order):
+def _augmenting_path(m1, m2, current, order, position, m1_spanned,
+                     m2_spanned):
     """Shortest augmenting path in the exchange digraph of the classical
-    matroid-intersection algorithm, deterministic in the given order."""
+    matroid-intersection algorithm, deterministic in the given order.
+
+    ``m1_spanned`` and ``m2_spanned`` hold elements known to be spanned by
+    ``current`` in M1 (not sources) and in M2 (not sinks); they are skipped
+    here and every newly failed test is added to them.  ``position`` maps
+    each element to its index in ``order``."""
     s = frozenset(current)
     outside = [y for y in order if y not in s]
-    sources = [y for y in outside if m1.is_independent(s | {y})]
-    sinks = {y for y in outside if m2.is_independent(s | {y})}
+    sources = []
+    for y in outside:
+        if y in m1_spanned:
+            continue
+        if m1.is_independent(s | {y}):
+            sources.append(y)
+        else:
+            m1_spanned.add(y)
     if not sources:
         return None
+
+    def is_sink(y):
+        # Asked only when the search reaches y, at most once per call.
+        if y in m2_spanned:
+            return False
+        if m2.is_independent(s | {y}):
+            return True
+        m2_spanned.add(y)
+        return False
+
     parent = {}
     queue = deque()
     for y in sources:
         parent[y] = None
-        if y in sinks:
+        if is_sink(y):
             return [y]
         queue.append(y)
-    inside = [x for x in order if x in s]
     # M1 circuit of each non-source addition, computed at most once here.
     m1_circuit = {}
     while queue:
@@ -187,7 +216,7 @@ def _augmenting_path(m1, m2, current, order):
                     m1_circuit[y] = m1.fundamental_circuit(s, y)
                 if node in m1_circuit[y]:
                     parent[y] = node
-                    if y in sinks:
+                    if is_sink(y):
                         path = [y]
                         while parent[path[-1]] is not None:
                             path.append(parent[path[-1]])
@@ -197,22 +226,49 @@ def _augmenting_path(m1, m2, current, order):
             # node is an addition; arcs go to removals repairing M2.  A sink
             # returns as soon as it is reached, so s + node is dependent in M2.
             for x in sorted(m2.fundamental_circuit(s, node),
-                            key=inside.index):
+                            key=position.__getitem__):
                 if x not in parent:
                     parent[x] = node
                     queue.append(x)
     return None
 
 
+def _order_positions(order, ground_size):
+    """Map each element to its index in order; order must be a permutation
+    of the ground set, else the first stray, repeated or missing element is
+    named."""
+    position = {}
+    for k, x in enumerate(order):
+        if x not in range(ground_size):
+            raise PreconditionError(
+                f"order element {x!r} is outside the ground set of size "
+                f"{ground_size}")
+        if x in position:
+            raise PreconditionError(f"order repeats element {x}")
+        position[x] = k
+    if len(position) < ground_size:
+        missing = next(x for x in range(ground_size) if x not in position)
+        raise PreconditionError(f"order omits element {missing}")
+    return position
+
+
 def max_common_independent(m1, m2, order=None):
     """Maximum-cardinality common independent set by repeated shortest
-    augmenting paths."""
+    augmenting paths.
+
+    span_Mi(s) is inside span_Mi(s ^ P) for i = 1, 2 when P is a shortest
+    augmenting path, so the spanned elements found by one search stay
+    spanned for the rest of this call.  They belong to this call alone:
+    another order builds other current sets."""
     if m1.ground_size != m2.ground_size:
         raise PreconditionError("oracles disagree on ground set size")
     order = list(order) if order is not None else list(range(m1.ground_size))
+    position = _order_positions(order, m1.ground_size)
     current = set()
+    m1_spanned, m2_spanned = set(), set()
     while True:
-        path = _augmenting_path(m1, m2, current, order)
+        path = _augmenting_path(m1, m2, current, order, position,
+                                m1_spanned, m2_spanned)
         if path is None:
             return frozenset(current)
         current.symmetric_difference_update(path)

@@ -143,11 +143,17 @@ class MatroidOracle:
             raise PreconditionError("I + x is independent; no circuit to extract")
         circuit = self._circuit(i, x)
         if VERIFY_FACTS:
-            assert self.is_circuit(circuit | {x})
+            if not self.is_circuit(circuit | {x}):
+                raise AssertionError(
+                    f"the circuit found for {x}, with {x}, is not a circuit")
             span_i = self.span(i)
             for a in circuit:
-                assert self.is_independent(plus - {a})
-                assert self.span(plus - {a}) == span_i
+                if not self.is_independent(plus - {a}):
+                    raise AssertionError(
+                        f"I + {x} - {a} is dependent for circuit member {a}")
+                if self.span(plus - {a}) != span_i:
+                    raise AssertionError(
+                        f"I + {x} - {a} does not span what I spans")
         return circuit
 
     def _circuit(self, i, x):

@@ -268,7 +268,10 @@ def apply_trail(instance, assignment, trail):
         choices[step.source] = step.added
     new = RainbowAssignment(choices)
     new.validate(instance)
-    assert new.size() == assignment.size() + 1
+    if new.size() != assignment.size() + 1:
+        raise TheoremViolationError(
+            f"an accepted augmenting trail took the assignment from size "
+            f"{assignment.size()} to {new.size()}")
     return new
 
 

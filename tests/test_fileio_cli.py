@@ -179,6 +179,25 @@ class TestCli:
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_optimized_run_writes_the_same_bytes(self, tmp_path, run_python):
+        # generate then solve under -O and without it: asserts stripped by
+        # -O must not have carried any of the work.
+        outputs = {}
+        for flags in ((), ("-O",)):
+            work = tmp_path / ("optimized" if flags else "plain")
+            work.mkdir()
+            for command in (
+                    ["generate", "--species", "graphic,linear", "--n", "3",
+                     "--m", "5", "--seed", "4", "--out", "inst.json"],
+                    ["solve", "--in", "inst.json", "--out", "res.json"]):
+                out = run_python(*flags, "-m", "rainbowmat.cli", *command,
+                                 cwd=work)
+                assert out.returncode == 0, out.stderr
+            outputs[flags] = [(work / name).read_bytes()
+                              for name in ("inst.json", "res.json")]
+        assert outputs[("-O",)] == outputs[()]
+        assert json.loads(outputs[()][1])["size"] == 3
+
     def test_counterexample_is_infeasible(self, tmp_path):
         path = tmp_path / "cx.json"
         assert main(["counterexample", "--n", "3", "--out", str(path)]) == 0

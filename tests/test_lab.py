@@ -4,6 +4,7 @@ hypothesis checker."""
 import hashlib
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -25,7 +26,15 @@ from rainbowmat import (
     solve,
     verify_instance,
 )
-from rainbowmat.lab import GenerationError, HypothesisError, random_row_latin
+from rainbowmat import lab
+from rainbowmat.lab import (
+    SPECIES,
+    GenerationError,
+    HypothesisError,
+    random_oracle,
+    random_row_latin,
+)
+from rainbowmat.matroids import MatroidOracle
 
 
 def brute_max_common(m1, m2):
@@ -153,6 +162,99 @@ class TestRandomInstance:
                                       "d7ddf7a97ffd567634619bd0b7f943bc")
 
 
+def reference_augmenting_path(m1, m2, current, order):
+    """The search without carried span bookkeeping: both predicates are
+    asked for every outside element on every call."""
+    s = frozenset(current)
+    outside = [y for y in order if y not in s]
+    sources = [y for y in outside if m1.is_independent(s | {y})]
+    sinks = {y for y in outside if m2.is_independent(s | {y})}
+    if not sources:
+        return None
+    parent = {}
+    queue = deque()
+    for y in sources:
+        parent[y] = None
+        if y in sinks:
+            return [y]
+        queue.append(y)
+    inside = [x for x in order if x in s]
+    m1_circuit = {}
+    while queue:
+        node = queue.popleft()
+        if node in s:
+            for y in outside:
+                if y in parent:
+                    continue
+                if y not in m1_circuit:
+                    m1_circuit[y] = m1.fundamental_circuit(s, y)
+                if node in m1_circuit[y]:
+                    parent[y] = node
+                    if y in sinks:
+                        path = [y]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return path
+                    queue.append(y)
+        else:
+            for x in sorted(m2.fundamental_circuit(s, node),
+                            key=inside.index):
+                if x not in parent:
+                    parent[x] = node
+                    queue.append(x)
+    return None
+
+
+def reference_max_common(m1, m2, order):
+    current = set()
+    while True:
+        path = reference_augmenting_path(m1, m2, current, order)
+        if path is None:
+            return frozenset(current)
+        current.symmetric_difference_update(path)
+
+
+def random_pair_cases(seed, per_pair):
+    """(m1, m2, order) over every ordered species pair, random ground sizes,
+    ranks and orders."""
+    rng = random.Random(seed)
+    for species_1 in SPECIES:
+        for species_2 in SPECIES:
+            for _ in range(per_pair):
+                g = rng.randint(3, 9)
+                m1 = random_oracle(species_1, g, rng.randint(1, g // 2), rng)
+                m2 = random_oracle(species_2, g, rng.randint(1, g // 2), rng)
+                order = list(range(g))
+                rng.shuffle(order)
+                yield m1, m2, order
+
+
+def path_matching_cases(seed):
+    """Bipartite matching on disjoint paths, as two capacity-one partition
+    matroids (left and right endpoints of each edge).  The order puts every
+    path's odd edges first, so once they are taken each path needs one
+    augmenting path through all of its edges."""
+    rng = random.Random(seed)
+    for lengths in ((1,), (3,), (2, 4), (5, 1, 3), (6, 6), (4, 2, 2, 5)):
+        for _ in range(4):
+            left, right, odd, even = [], [], [], []
+            base = 0
+            for k in lengths:
+                for j in range(k + 1):
+                    even.append(len(left))
+                    left.append(base + j)
+                    right.append(base + j)
+                    if j < k:
+                        odd.append(len(left))
+                        left.append(base + j + 1)
+                        right.append(base + j)
+                base += k + 1
+            rng.shuffle(odd)
+            rng.shuffle(even)
+            yield (PartitionMatroid(left, [1] * base),
+                   PartitionMatroid(right, [1] * base), odd + even)
+
+
 class TestMaxCommonIndependent:
     def test_latin_square_diagonal(self):
         inst = encode_array([(1, 2, 3), (2, 3, 1), (3, 1, 2)])
@@ -179,6 +281,66 @@ class TestMaxCommonIndependent:
                                            "graphic", "linear")), g, 1, rng)
             assert (len(max_common_independent(m1, m2))
                     == brute_max_common(m1, m2))
+
+    def test_same_sets_as_reference_search(self):
+        # 16 species pairs x 32 random orders.  The carried spans only drop
+        # predicate calls: never a different set, never more calls.
+        cases = 0
+        for m1, m2, order in itertools.chain(
+                random_pair_cases(seed=17, per_pair=32),
+                path_matching_cases(seed=17)):
+            start = m1.independence_calls + m2.independence_calls
+            want = reference_max_common(m1, m2, order)
+            middle = m1.independence_calls + m2.independence_calls
+            assert max_common_independent(m1, m2, order=order) == want
+            end = m1.independence_calls + m2.independence_calls
+            assert end - middle <= middle - start
+            cases += 1
+        assert cases >= 16 * 32
+
+    def test_spans_only_grow_and_memos_are_spanned(self, monkeypatch):
+        # After every augmentation the base-class span of the current set
+        # grows in both matroids, and every element either memo holds is
+        # spanned by the set the search ran on.
+        searched, path_lengths = [], []
+        search = lab._augmenting_path
+
+        def recording(m1, m2, current, order, position, m1_spanned,
+                      m2_spanned):
+            s = frozenset(current)
+            path = search(m1, m2, current, order, position, m1_spanned,
+                          m2_spanned)
+            assert m1_spanned <= MatroidOracle.span(m1, s)
+            assert m2_spanned <= MatroidOracle.span(m2, s)
+            searched.append(s)
+            path_lengths.append(len(path or ()))
+            return path
+
+        monkeypatch.setattr(lab, "_augmenting_path", recording)
+        for m1, m2, order in itertools.chain(
+                random_pair_cases(seed=29, per_pair=4),
+                path_matching_cases(seed=29)):
+            searched.clear()
+            final = max_common_independent(m1, m2, order=order)
+            assert searched[-1] == final
+            for m in (m1, m2):
+                spans = [MatroidOracle.span(m, s) for s in searched]
+                for before, after in zip(spans, spans[1:]):
+                    assert before <= after
+        # The matching cases reach a path through all 13 edges of a path.
+        assert max(path_lengths) == 13
+
+    @pytest.mark.parametrize("order, message", [
+        ([0, 1, 3], "omits element 2"),
+        ([0, 1, 1, 2, 3], "repeats element 1"),
+        ([0, 1, 2, 4], "element 4 is outside"),
+        ([0], "omits element 1"),
+    ])
+    def test_order_must_be_a_permutation(self, order, message):
+        m = UniformMatroid(3, 4)
+        with pytest.raises(PreconditionError, match=message):
+            max_common_independent(m, m, order=order)
+        assert m.independence_calls == 0
 
 
 class TestLemma3:

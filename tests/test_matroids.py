@@ -14,6 +14,7 @@ from rainbowmat import (
     UniformMatroid,
     build_matroid,
 )
+from rainbowmat import matroids
 
 
 def brute_circuits(oracle, pool):
@@ -151,6 +152,14 @@ class TestFundamentalCircuit:
     def test_unique_circuit_by_enumeration(self, triangle):
         c = triangle.fundamental_circuit({0, 1}, 2)
         assert brute_circuits(triangle, {0, 1, 2}) == [c | {2}]
+
+    def test_verify_facts_rejects_bad_circuit(self, triangle, monkeypatch):
+        # The verification block raises explicitly, so it also runs under -O.
+        monkeypatch.setattr(matroids, "VERIFY_FACTS", True)
+        assert triangle.fundamental_circuit({0, 1}, 2) == {0, 1}
+        monkeypatch.setattr(triangle, "_circuit", lambda i, x: frozenset({0}))
+        with pytest.raises(AssertionError, match="not a circuit"):
+            triangle.fundamental_circuit({0, 1}, 2)
 
 
 class TestAugmentFrom:

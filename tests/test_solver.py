@@ -1,7 +1,10 @@
 """Seeding, trail validation, sweep rounds, and end-to-end solving."""
 
+from pathlib import Path
+
 import pytest
 
+from rainbowmat import solver
 from rainbowmat import (
     Augment,
     NewReachable,
@@ -10,6 +13,7 @@ from rainbowmat import (
     RainbowInstance,
     Stalled,
     SweepState,
+    TheoremViolationError,
     Trail,
     TrailStep,
     TrailStructureError,
@@ -112,6 +116,27 @@ class TestApplyTrail:
         trail = Trail((TrailStep(1, 3, 0),), False)
         with pytest.raises(PreconditionError, match="augmenting"):
             apply_trail(cell_instance, r, trail)
+
+    def test_size_preserving_trail_is_a_theorem_violation(
+            self, cell_instance, monkeypatch):
+        # A validator that wrongly accepts a trail ending in a removal must
+        # not let the assignment stay the same size, under -O as well.
+        monkeypatch.setattr(solver, "validate_trail", lambda *args: True)
+        r = RainbowAssignment({0: 0})
+        trail = Trail((TrailStep(1, 3, 0),), True)
+        with pytest.raises(TheoremViolationError, match="size 1 to 1"):
+            apply_trail(cell_instance, r, trail)
+
+    def test_invariants_hold_under_optimize(self, run_python):
+        tests = Path(__file__).parent
+        out = run_python(
+            "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{tests / 'test_solver.py'}::TestApplyTrail::"
+            "test_size_preserving_trail_is_a_theorem_violation",
+            f"{tests / 'test_matroids.py'}::TestFundamentalCircuit::"
+            "test_verify_facts_rejects_bad_circuit")
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "2 passed" in out.stdout
 
 
 class TestSweepRound:
