@@ -16,6 +16,7 @@ from .fileio import (
     dumps_doc,
     instance_to_doc,
     parse_instance,
+    parse_rows,
     result_to_doc,
 )
 from .harness import run_all
@@ -87,13 +88,20 @@ def _cmd_counterexample(args):
     return EXIT_OK
 
 
+def _symbol(text):
+    try:
+        return int(text)
+    except ValueError:
+        return text  # parse_rows names it
+
+
 def _cmd_encode_latin(args):
     if os.path.exists(args.rows):
-        rows = json.loads(_read(args.rows))
+        rows = parse_rows(json.loads(_read(args.rows)))
     else:
         # inline form: rows separated by ';', symbols by ','
-        rows = [[int(v) for v in row.split(",")]
-                for row in args.rows.split(";")]
+        rows = parse_rows([[_symbol(v) for v in row.split(",")]
+                           for row in args.rows.split(";")])
     array = LatinArray(tuple(tuple(r) for r in rows), len(rows[0]))
     array.validate_row_latin()
     instance = encode_array(array)

@@ -4,6 +4,12 @@ Element names are strings in files and dense integers internally; results
 carry the name list so the mapping is explicit.  Serialization is canonical
 (sorted keys, fixed indentation) so identical inputs give byte-identical
 documents.
+
+The fields of each matroid species belong to ``matroids``: a document is
+read into the species' ``describe()`` form and built by ``build_matroid``,
+and written from ``describe()``.  This module owns only the names: which
+document key holds a per-element field, the partition block labels, and a
+lift's value names.
 """
 
 from __future__ import annotations
@@ -11,13 +17,7 @@ from __future__ import annotations
 import json
 from collections.abc import Hashable
 
-from .matroids import (
-    GraphicMatroid,
-    LinearMatroid,
-    MatroidSpecError,
-    PartitionMatroid,
-    UniformMatroid,
-)
+from .matroids import SPEC_FIELDS, MatroidSpecError, build_matroid
 from .solver import RainbowInstance
 
 
@@ -32,11 +32,10 @@ def _require(doc, key, where):
 
 
 def _integer(value, where):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise InstanceFormatError(
-            f"{where}: expected an integer, got {value!r}") from None
+            f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def _of_type(value, kinds, what, where):
@@ -54,76 +53,93 @@ def _list(value, what, where):
     return _of_type(value, (list, tuple), f"a list of {what}", where)
 
 
-def _matroid_from_doc(doc, names, where):
+def _names(value, where):
+    names = _list(value, "element names", where)
+    for k, name in enumerate(names):
+        _of_type(name, Hashable, "an element name", f"{where}[{k}]")
+    if len(set(names)) != len(names):
+        raise InstanceFormatError(f"{where}: duplicate element names")
+    return names
+
+
+#: Each per-element ``describe()`` field is an object keyed by element name
+#: under its own document key: (document key, what one entry gives).
+_ELEMENT_KEYS = {"block_of": ("block_of", "block"),
+                 "edges": ("edge", "endpoints"),
+                 "columns": ("column", "column"),
+                 "value_of": ("value", "value")}
+
+
+def _element_field(doc, key, names, labels, where):
+    """One entry per element; block and value entries name a label."""
+    file_key, noun = _ELEMENT_KEYS[key]
+    entries = _object(doc, file_key, where)
+    label_id = {lab: i for i, lab in enumerate(labels or ())}
+    field = []
+    for name in names:
+        if name not in entries:
+            raise InstanceFormatError(
+                f"{where}.{file_key}: no {noun} for element '{name}'")
+        at = f"{where}.{file_key}['{name}']"
+        entry = entries[name]
+        if labels is not None:
+            if not isinstance(entry, Hashable) or entry not in label_id:
+                raise InstanceFormatError(f"{at}: unknown {noun} '{entry}'")
+            field.append(label_id[entry])
+            continue
+        entry = _list(entry, "two endpoints" if key == "edges" else "integers",
+                      at)
+        if key == "edges" and len(entry) != 2:
+            raise InstanceFormatError(
+                f"{at}: expected two endpoints, got {len(entry)}")
+        field.append([_integer(v, at) for v in entry])
+    return field
+
+
+def _spec_from_doc(doc, names, where):
+    """The ``describe()`` form of a matroid document over named elements."""
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{where}: expected an object")
     kind = _require(doc, "type", where)
-    try:
-        if kind == "uniform":
-            return UniformMatroid(
-                _integer(_require(doc, "rank", where), f"{where}.rank"),
-                len(names))
-        if kind == "partition":
-            block_doc = _object(doc, "block_of", where)
-            cap_doc = _object(doc, "capacity", where)
+    if not isinstance(kind, str) or kind not in SPEC_FIELDS:
+        raise InstanceFormatError(
+            f"{where}.type: unknown matroid type '{kind}'")
+    spec = {"type": kind}
+    labels = None
+    # Per-element fields last: block and value entries name labels that
+    # the capacity object or the values list introduce.
+    for key in sorted(SPEC_FIELDS[kind], key=_ELEMENT_KEYS.__contains__):
+        if key in _ELEMENT_KEYS:
+            spec[key] = _element_field(doc, key, names, labels, where)
+        elif key == "capacity":
+            cap_doc = _object(doc, key, where)
             labels = sorted(cap_doc)
-            label_id = {lab: i for i, lab in enumerate(labels)}
-            block_of = []
-            for name in names:
-                if name not in block_doc:
-                    raise InstanceFormatError(
-                        f"{where}.block_of: no block for element '{name}'")
-                lab = block_doc[name]
-                if not isinstance(lab, Hashable) or lab not in label_id:
-                    raise InstanceFormatError(
-                        f"{where}.block_of['{name}']: unknown block '{lab}'")
-                block_of.append(label_id[lab])
-            return PartitionMatroid(
-                block_of, [_integer(cap_doc[lab], f"{where}.capacity['{lab}']")
-                           for lab in labels])
-        if kind == "graphic":
-            vertices = _integer(_require(doc, "vertices", where),
-                                f"{where}.vertices")
-            edge_doc = _object(doc, "edge", where)
-            edges = []
-            for name in names:
-                if name not in edge_doc:
-                    raise InstanceFormatError(
-                        f"{where}.edge: no endpoints for element '{name}'")
-                at = f"{where}.edge['{name}']"
-                edge = _list(edge_doc[name], "two endpoints", at)
-                if len(edge) != 2:
-                    raise InstanceFormatError(
-                        f"{at}: expected two endpoints, got {len(edge)}")
-                edges.append(tuple(_integer(v, at) for v in edge))
-            return GraphicMatroid(vertices, edges)
-        if kind == "linear":
-            prime = _integer(_require(doc, "prime", where), f"{where}.prime")
-            col_doc = _object(doc, "column", where)
-            columns = []
-            for name in names:
-                if name not in col_doc:
-                    raise InstanceFormatError(
-                        f"{where}.column: no column for element '{name}'")
-                at = f"{where}.column['{name}']"
-                columns.append([_integer(v, at) for v in
-                                _list(col_doc[name], "integers", at)])
-            return LinearMatroid(prime, columns)
+            spec[key] = [_integer(cap_doc[lab], f"{where}.capacity['{lab}']")
+                         for lab in labels]
+        elif key == "base":
+            labels = _names(_require(doc, "values", where), f"{where}.values")
+            spec[key] = _spec_from_doc(_require(doc, key, where), labels,
+                                       f"{where}.base")
+        elif key == "ground_size":
+            spec[key] = len(names)
+        else:
+            spec[key] = _integer(_require(doc, key, where), f"{where}.{key}")
+    return spec
+
+
+def _matroid_from_doc(doc, names, where):
+    spec = _spec_from_doc(doc, names, where)
+    try:
+        return build_matroid(spec, len(names))
     except MatroidSpecError as exc:
         raise InstanceFormatError(f"{where}: {exc}") from exc
-    raise InstanceFormatError(f"{where}.type: unknown matroid type '{kind}'")
 
 
 def parse_instance_doc(doc):
     """Validate a parsed document and return (RainbowInstance, names)."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("document: expected an object")
-    names = _list(_require(doc, "ground", "document"), "element names",
-                  "ground")
-    for k, name in enumerate(names):
-        _of_type(name, Hashable, "an element name", f"ground[{k}]")
-    if len(set(names)) != len(names):
-        raise InstanceFormatError("ground: duplicate element names")
+    names = _names(_require(doc, "ground", "document"), "ground")
     ids = {name: i for i, name in enumerate(names)}
     m_oracle = _matroid_from_doc(_require(doc, "matroid_M", "document"),
                                  names, "matroid_M")
@@ -150,6 +166,16 @@ def parse_instance_doc(doc):
     return instance, list(names)
 
 
+def parse_rows(doc, where="rows"):
+    """The rows of an array: a non-empty list of lists of integers."""
+    rows = _list(doc, "rows", where)
+    if not rows:
+        raise InstanceFormatError(f"{where}: expected at least one row")
+    return [[_integer(v, f"{where}[{i}]")
+             for v in _list(row, "integers", f"{where}[{i}]")]
+            for i, row in enumerate(rows)]
+
+
 def parse_instance(text):
     try:
         doc = json.loads(text)
@@ -158,27 +184,34 @@ def parse_instance(text):
     return parse_instance_doc(doc)
 
 
-def _matroid_to_doc(oracle, names):
-    desc = oracle.describe()
-    kind = desc["type"]
-    if kind == "uniform":
-        return {"type": "uniform", "rank": desc["rank"]}
-    if kind == "partition":
-        return {
-            "type": "partition",
-            "block_of": {names[i]: f"b{b}"
-                         for i, b in enumerate(desc["block_of"])},
-            "capacity": {f"b{b}": cap
-                         for b, cap in enumerate(desc["capacity"])},
-        }
-    if kind == "graphic":
-        return {"type": "graphic", "vertices": desc["vertices"],
-                "edge": {names[i]: e for i, e in enumerate(desc["edges"])}}
-    if kind == "linear":
-        return {"type": "linear", "prime": desc["prime"],
-                "column": {names[i]: c for i, c in enumerate(desc["columns"])}}
-    raise InstanceFormatError(
-        f"matroid of type '{kind}' has no document form")
+def _spec_to_doc(spec, names):
+    """A ``describe()`` form as a document over the named elements."""
+    if spec["type"] not in SPEC_FIELDS:
+        raise InstanceFormatError(
+            f"matroid of type '{spec['type']}' has no document form")
+    doc = {"type": spec["type"]}
+    labels = None
+    if "capacity" in spec:
+        # Zero-padded so that the labels sort in block order when read.
+        width = len(str(len(spec["capacity"]) - 1))
+        labels = [f"b{b:0{width}d}" for b in range(len(spec["capacity"]))]
+        doc["capacity"] = dict(zip(labels, spec["capacity"]))
+    if "base" in spec:
+        base = spec["base"]
+        # A uniform base states its size; the others have a per-element field.
+        sizes = [len(v) for k, v in base.items() if k in _ELEMENT_KEYS]
+        labels = [f"v{i}" for i in range(
+            sizes[0] if sizes else base["ground_size"])]
+        doc["values"] = labels
+        doc["base"] = _spec_to_doc(base, labels)
+    for key, value in spec.items():
+        if key in _ELEMENT_KEYS:
+            doc[_ELEMENT_KEYS[key][0]] = {
+                names[i]: entry if labels is None else labels[entry]
+                for i, entry in enumerate(value)}
+        elif key not in doc and key != "ground_size":
+            doc[key] = value
+    return doc
 
 
 def default_names(ground_size):
@@ -190,8 +223,8 @@ def instance_to_doc(instance, names=None):
         instance.m_oracle.ground_size)
     return {
         "ground": list(names),
-        "matroid_M": _matroid_to_doc(instance.m_oracle, names),
-        "matroid_N": _matroid_to_doc(instance.n_oracle, names),
+        "matroid_M": _spec_to_doc(instance.m_oracle.describe(), names),
+        "matroid_N": _spec_to_doc(instance.n_oracle.describe(), names),
         "n": instance.n,
         "family": [[names[x] for x in sorted(a)] for a in instance.family],
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .matroids import (
     GraphicMatroid,
@@ -160,6 +160,16 @@ def brute_force_rainbow(instance, target):
 
     if dfs(0):
         return RainbowAssignment(dict(choices))
+    return None
+
+
+def max_rainbow(instance, floor=0):
+    """The first hit of the largest size from n down to floor + 1, by brute
+    force; None when no size above floor has one."""
+    for target in range(instance.n, floor, -1):
+        best = brute_force_rainbow(instance, target)
+        if best is not None:
+            return best
     return None
 
 
@@ -336,19 +346,25 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
         except GenerationError as exc:
             last_error = exc
             continue
-        if len(max_common_independent(m_oracle, n_oracle)) < n:
-            last_error = GenerationError(
-                f"common rank below {n} for {species_m} x {species_n}")
-            continue
+        state = rng.getstate()
         family = []
         for _ in range(m):
             order = list(range(g))
             rng.shuffle(order)
             full = max_common_independent(m_oracle, n_oracle, order=order)
+            if len(full) < n:
+                # Every maximum common independent set has the common rank,
+                # so the first search settles it; the retry draws as if
+                # this shuffle had not been made.
+                break
             family.append(frozenset([x for x in order if x in full][:n]))
-        instance = RainbowInstance(m_oracle, n_oracle, tuple(family), n)
-        instance.validate()
-        return instance
+        else:
+            instance = RainbowInstance(m_oracle, n_oracle, tuple(family), n)
+            instance.validate()
+            return instance
+        rng.setstate(state)
+        last_error = GenerationError(
+            f"common rank below {n} for {species_m} x {species_n}")
     raise GenerationError(
         f"retry budget exhausted generating {species_m} x {species_n}, "
         f"n={n}, m={m}, seed={seed}: {last_error}")
@@ -405,13 +421,7 @@ class VerificationReport:
     oracle_calls: dict
 
     def to_json_line(self):
-        return json.dumps(
-            {"digest": self.digest, "n": self.n,
-             "solver_status": self.solver_status,
-             "solver_size": self.solver_size, "brute_size": self.brute_size,
-             "agree": self.agree, "fallback_used": self.fallback_used,
-             "oracle_calls": self.oracle_calls},
-            sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def verify_instance(instance):
@@ -420,14 +430,8 @@ def verify_instance(instance):
     calls_before = instance.oracle_calls()
     result = solve(instance)
     solver_size = result.assignment.size()
-    if brute_force_rainbow(instance, instance.n) is not None:
-        brute_size = instance.n
-    else:
-        brute_size = 0
-        for target in range(instance.n - 1, 0, -1):
-            if brute_force_rainbow(instance, target) is not None:
-                brute_size = target
-                break
+    best = max_rainbow(instance)
+    brute_size = best.size() if best is not None else 0
     calls_after = instance.oracle_calls()
     return VerificationReport(
         digest=instance.digest(),

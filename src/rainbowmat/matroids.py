@@ -1,4 +1,9 @@
-"""Independence oracles for four matroid species and the derived machinery.
+"""Independence oracles for five matroid species and the derived machinery.
+
+This module owns the schema of every species.  A species declares its
+fields once, as ``fields``: the ``describe()`` keys in constructor order.
+``describe()`` is the one description of an oracle, and ``build_matroid``
+is its exact inverse; the file layer only maps it to element names.
 
 The base class computes every derived operation (rank, span, circuits,
 augmentation) from the independence predicate alone, so a new oracle species
@@ -24,6 +29,11 @@ class PreconditionError(ValueError):
 #: When True, ``fundamental_circuit`` re-checks the circuit and span
 #: guarantees on every call.  Expensive; meant for verification runs.
 VERIFY_FACTS = False
+
+
+#: The largest field size ``LinearMatroid`` accepts: ``is_prime`` tests by
+#: trial division, which takes milliseconds up to here and grows unbounded.
+MAX_PRIME = 2**31 - 1
 
 
 def is_prime(p):
@@ -70,6 +80,10 @@ class MatroidOracle:
     """Base class: an independence predicate plus derived operations."""
 
     species = "abstract"
+    #: The ``describe()`` keys, in constructor order, and the one of them
+    #: that holds an entry per ground element (None if there is none).
+    fields = ()
+    element_field = None
 
     def __init__(self, ground_size):
         if ground_size < 0:
@@ -232,6 +246,7 @@ class UniformMatroid(MatroidOracle):
     """Independent iff at most rank_cap elements."""
 
     species = "uniform"
+    fields = ("rank", "ground_size")
 
     def __init__(self, rank_cap, ground_size):
         super().__init__(ground_size)
@@ -255,6 +270,8 @@ class PartitionMatroid(MatroidOracle):
     """Independent iff each block's count stays within its capacity."""
 
     species = "partition"
+    fields = ("block_of", "capacity")
+    element_field = "block_of"
 
     def __init__(self, block_of, capacity):
         block_of = tuple(block_of)
@@ -294,6 +311,8 @@ class GraphicMatroid(MatroidOracle):
     """Elements are edges of a multigraph; independent iff acyclic."""
 
     species = "graphic"
+    fields = ("vertices", "edges")
+    element_field = "edges"
 
     def __init__(self, num_vertices, edges):
         edges = tuple((int(u), int(v)) for u, v in edges)
@@ -365,10 +384,14 @@ class LinearMatroid(MatroidOracle):
     """
 
     species = "linear"
+    fields = ("prime", "columns")
+    element_field = "columns"
 
     def __init__(self, prime, columns):
         columns = tuple(tuple(int(c) for c in col) for col in columns)
         super().__init__(len(columns))
+        if prime > MAX_PRIME:
+            raise MatroidSpecError(f"prime {prime} exceeds {MAX_PRIME}")
         if not is_prime(prime):
             raise MatroidSpecError(f"{prime} is not prime")
         dims = {len(c) for c in columns}
@@ -413,6 +436,8 @@ class ParallelLiftMatroid(MatroidOracle):
     """
 
     species = "lift"
+    fields = ("value_of", "base")
+    element_field = "value_of"
 
     def __init__(self, value_of, base):
         value_of = tuple(value_of)
@@ -446,50 +471,41 @@ class ParallelLiftMatroid(MatroidOracle):
                 "base": self.base.describe()}
 
 
-def build_matroid(spec, ground_size):
-    """Build an oracle from a tagged description dict.
+#: Every species by its ``describe()`` type.
+_SPECIES = {cls.species: cls for cls in (
+    UniformMatroid, PartitionMatroid, GraphicMatroid, LinearMatroid,
+    ParallelLiftMatroid)}
 
-    Uses dense integer element ids; name-keyed file documents are converted
-    to this form by the file layer.
-    """
+#: The ``describe()`` keys of every species, in constructor order.
+SPEC_FIELDS = {kind: cls.fields for kind, cls in _SPECIES.items()}
+
+
+def build_matroid(spec, ground_size):
+    """Build an oracle from its ``describe()`` form, the exact inverse of
+    ``describe``.  ``ground_size`` is checked against the per-element field;
+    a lift's base is built with None, which takes the form's own size."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise MatroidSpecError("matroid description missing 'type'")
     t = spec["type"]
-    if t == "uniform":
-        if "rank" not in spec:
-            raise MatroidSpecError("uniform matroid: missing 'rank'")
-        return UniformMatroid(spec["rank"], ground_size)
-    if t == "partition":
-        for key in ("block_of", "capacity"):
-            if key not in spec:
-                raise MatroidSpecError(f"partition matroid: missing '{key}'")
-        block_of = list(spec["block_of"])
-        if len(block_of) != ground_size:
+    cls = _SPECIES.get(t) if isinstance(t, str) else None
+    if cls is None:
+        raise MatroidSpecError(f"unknown matroid type {t!r}")
+    if ground_size is not None:
+        spec = {**spec, "ground_size": ground_size}
+    args = []
+    for key in cls.fields:
+        if key not in spec:
+            raise MatroidSpecError(f"{t} matroid: missing '{key}'")
+        value = spec[key]
+        if key == cls.element_field and ground_size is not None \
+                and len(value) != ground_size:
             raise MatroidSpecError(
-                f"partition matroid: 'block_of' has {len(block_of)} entries, "
-                f"expected {ground_size}"
-            )
-        return PartitionMatroid(block_of, list(spec["capacity"]))
-    if t == "graphic":
-        for key in ("vertices", "edges"):
-            if key not in spec:
-                raise MatroidSpecError(f"graphic matroid: missing '{key}'")
-        edges = list(spec["edges"])
-        if len(edges) != ground_size:
-            raise MatroidSpecError(
-                f"graphic matroid: 'edges' has {len(edges)} entries, "
-                f"expected {ground_size}"
-            )
-        return GraphicMatroid(spec["vertices"], edges)
-    if t == "linear":
-        for key in ("prime", "columns"):
-            if key not in spec:
-                raise MatroidSpecError(f"linear matroid: missing '{key}'")
-        columns = list(spec["columns"])
-        if len(columns) != ground_size:
-            raise MatroidSpecError(
-                f"linear matroid: 'columns' has {len(columns)} entries, "
-                f"expected {ground_size}"
-            )
-        return LinearMatroid(spec["prime"], columns)
-    raise MatroidSpecError(f"unknown matroid type {t!r}")
+                f"{t} matroid: '{key}' has {len(value)} entries, "
+                f"expected {ground_size}")
+        if key == "base":
+            try:
+                value = build_matroid(value, None)
+            except MatroidSpecError as exc:
+                raise MatroidSpecError(f"base: {exc}") from exc
+        args.append(value)
+    return cls(*args)

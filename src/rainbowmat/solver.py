@@ -480,7 +480,7 @@ def solve(instance):
     With at least 2n-1 family sets the result always has size n; smaller
     families may come back infeasible, certified by brute force.
     """
-    from .lab import brute_force_rainbow  # local import to avoid a cycle
+    from .lab import max_rainbow  # local import to avoid a cycle
 
     instance.validate()
     stats = SolveStats()
@@ -506,19 +506,14 @@ def solve(instance):
             continue
 
         stats.brute_force_used = True
-        full = brute_force_rainbow(instance, instance.n)
-        if full is not None:
-            assignment = full
+        assignment = max_rainbow(instance, instance.n - 1 if guaranteed
+                                 else assignment.size()) or assignment
+        if assignment.size() == instance.n:
             continue
         if guaranteed:
             raise TheoremViolationError(
                 "no augmentation found although the family has 2n-1 sets; "
                 f"instance digest {instance.digest()}")
-        for target in range(instance.n - 1, assignment.size(), -1):
-            best = brute_force_rainbow(instance, target)
-            if best is not None:
-                assignment = best
-                break
         calls_after = instance.oracle_calls()
         stats.oracle_calls_m = calls_after["M"] - calls_before["M"]
         stats.oracle_calls_n = calls_after["N"] - calls_before["N"]

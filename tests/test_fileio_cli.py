@@ -40,6 +40,52 @@ MALFORMED = {
                           {"type": "graphic", "vertices": 3,
                            "edge": {"a": [0], "b": [1, 2], "c": [0, 2]}},
                           r"matroid_M.edge\['a'\]: expected two endpoints"),
+    "prime_fraction": ("matroid_M",
+                       {"type": "linear", "prime": 2.5,
+                        "column": {"a": [1], "b": [1], "c": [1]}},
+                       "matroid_M.prime: expected an integer, got 2.5"),
+    "rank_fraction": ("matroid_M", {"type": "uniform", "rank": 2.9},
+                      "matroid_M.rank: expected an integer, got 2.9"),
+    "n_fraction": ("n", 2.5, "n: expected an integer, got 2.5"),
+    "vertices_fraction": ("matroid_M",
+                          {"type": "graphic", "vertices": 3.7,
+                           "edge": {"a": [0, 1], "b": [1, 2], "c": [0, 2]}},
+                          "matroid_M.vertices: expected an integer, got 3.7"),
+    "endpoint_fraction": ("matroid_M",
+                          {"type": "graphic", "vertices": 3,
+                           "edge": {"a": [0, 2.9], "b": [1, 2],
+                                    "c": [0, 2]}},
+                          r"matroid_M.edge\['a'\]: expected an integer, "
+                          "got 2.9"),
+    "rank_string": ("matroid_M", {"type": "uniform", "rank": "2"},
+                    "matroid_M.rank: expected an integer, got '2'"),
+    "rank_bool": ("matroid_M", {"type": "uniform", "rank": True},
+                  "matroid_M.rank: expected an integer, got True"),
+    "lift_unknown_value": ("matroid_N",
+                           {"type": "lift", "values": ["x", "y"],
+                            "value": {"a": "x", "b": "z", "c": "y"},
+                            "base": {"type": "uniform", "rank": 2}},
+                           r"matroid_N.value\['b'\]: unknown value 'z'"),
+    "lift_no_value": ("matroid_N",
+                      {"type": "lift", "values": ["x", "y"],
+                       "value": {"a": "x", "b": "y"},
+                       "base": {"type": "uniform", "rank": 2}},
+                      "matroid_N.value: no value for element 'c'"),
+    "lift_values_repeat": ("matroid_N",
+                           {"type": "lift", "values": ["x", "x"],
+                            "value": {"a": "x", "b": "x", "c": "x"},
+                            "base": {"type": "uniform", "rank": 2}},
+                           "matroid_N.values: duplicate element names"),
+    "lift_base_rank_fraction": ("matroid_N",
+                                {"type": "lift", "values": ["x", "y"],
+                                 "value": {"a": "x", "b": "y", "c": "y"},
+                                 "base": {"type": "uniform", "rank": 1.5}},
+                                "matroid_N.base.rank: expected an integer"),
+    "lift_base_invalid": ("matroid_N",
+                          {"type": "lift", "values": ["x", "y"],
+                           "value": {"a": "x", "b": "y", "c": "y"},
+                           "base": {"type": "uniform", "rank": -1}},
+                          "matroid_N: base: rank must be nonnegative"),
 }
 
 
@@ -214,6 +260,26 @@ class TestCli:
         assert len(doc["family"]) == 3
         inst, _ = parse_instance_doc(doc)
         assert solve(inst).assignment.size() == 2
+
+    @pytest.mark.parametrize("rows, where", [
+        ("1,x;2,1", "rows[0]: expected an integer, got 'x'"),
+        ({"a": 1}, "rows: expected a list of rows"),
+        ([], "rows: expected at least one row"),
+        ([[1, 2], 5], "rows[1]: expected a list of integers"),
+        ([[1, 2], [2, 1.5]], "rows[1]: expected an integer, got 1.5"),
+    ], ids=["inline_symbol", "object", "empty", "row_not_list", "fraction"])
+    def test_encode_latin_malformed_rows(self, rows, where, tmp_path,
+                                         capsys):
+        if not isinstance(rows, str):
+            path = tmp_path / "rows.json"
+            path.write_text(json.dumps(rows))
+            rows = str(path)
+        out = tmp_path / "latin.json"
+        assert main(["encode-latin", "--rows", rows, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_verify_agreement(self, tmp_path, capsys):
         src = tmp_path / "inst.json"

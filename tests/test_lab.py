@@ -400,3 +400,93 @@ class TestLatinArray:
         arr = random_row_latin(4, 7, random.Random(0))
         assert len(arr.rows) == 7
         arr.validate_row_latin()
+
+
+class TestMaxRainbow:
+    def test_first_hit_of_the_largest_size(self):
+        inst = drisko_instance(3)
+        best = lab.max_rainbow(inst)
+        assert best == brute_force_rainbow(inst, 2)
+
+    def test_none_above_floor(self):
+        assert lab.max_rainbow(drisko_instance(3), floor=2) is None
+        assert lab.max_rainbow(encode_array([(1, 2)]), floor=1) is None
+
+    @pytest.mark.parametrize("rows, solve_targets, verify_targets", [
+        # Drisko n = 3: the sweep leaves size 2, which brute force confirms.
+        (((1, 2, 3),) * 2 + ((2, 3, 1),) * 2, [3], [3, 2]),
+        # One row: the seed has size 1 and no size above it exists.
+        (((1, 2, 3),), [3, 2], [3, 2, 1]),
+    ])
+    def test_callers_descend_from_n(self, rows, solve_targets,
+                                    verify_targets, monkeypatch):
+        # solve asks n down to one above its own size, verify_instance asks
+        # n down to 1; both stop at the first hit.
+        targets = []
+        real = lab.brute_force_rainbow
+
+        def recorded(instance, target):
+            targets.append(target)
+            return real(instance, target)
+
+        monkeypatch.setattr(lab, "brute_force_rainbow", recorded)
+        assert solve(encode_array(rows)).status == "infeasible"
+        assert targets == solve_targets
+        targets.clear()
+        verify_instance(encode_array(rows))
+        assert targets == solve_targets + verify_targets
+
+
+def reference_random_instance(species_m, species_n, n, m, seed, g):
+    """Generation with a separate common-rank probe: one search in ground
+    order before the family is drawn."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        try:
+            m_oracle = random_oracle(species_m, g, n, rng)
+            n_oracle = random_oracle(species_n, g, n, rng)
+        except GenerationError:
+            continue
+        if len(max_common_independent(m_oracle, n_oracle)) < n:
+            continue
+        family = []
+        for _ in range(m):
+            order = list(range(g))
+            rng.shuffle(order)
+            full = max_common_independent(m_oracle, n_oracle, order=order)
+            family.append(frozenset([x for x in order if x in full][:n]))
+        return RainbowInstance(m_oracle, n_oracle, tuple(family), n)
+    raise GenerationError("retry budget exhausted")
+
+
+class TestRandomInstanceSearches:
+    def count_searches(self, monkeypatch):
+        calls = []
+        real = lab.max_common_independent
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lab, "max_common_independent", counted)
+        return calls
+
+    def test_one_search_per_family_set(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        random_instance("graphic", "linear", 3, 5, seed=4)
+        assert len(calls) == 5
+
+    # Each of these first draws a pair whose common rank is below n.
+    @pytest.mark.parametrize("species_m, species_n, n, seed", [
+        ("graphic", "graphic", 3, 1), ("graphic", "graphic", 4, 4),
+        ("graphic", "linear", 4, 1), ("linear", "linear", 3, 7)])
+    def test_rank_retry_draws_as_with_a_probe(self, species_m, species_n, n,
+                                              seed, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        got = random_instance(species_m, species_n, n, 2 * n - 1, seed,
+                              ground_size=n + 2)
+        assert len(calls) > 2 * n - 1
+        want = reference_random_instance(species_m, species_n, n, 2 * n - 1,
+                                         seed, n + 2)
+        assert dumps_doc(instance_to_doc(got)) == \
+            dumps_doc(instance_to_doc(want))
