@@ -47,7 +47,11 @@ def _write(path, text):
 
 def _read(path):
     with open(path) as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(
+                f"{path}: not a text file ({exc})") from exc
 
 
 def _species_pair(text):
@@ -97,7 +101,12 @@ def _symbol(text):
 
 def _cmd_encode_latin(args):
     if os.path.exists(args.rows):
-        rows = parse_rows(json.loads(_read(args.rows)))
+        try:
+            doc = json.loads(_read(args.rows))
+        except json.JSONDecodeError as exc:
+            raise InstanceFormatError(
+                f"rows: {args.rows} is not valid JSON ({exc})") from exc
+        rows = parse_rows(doc)
     else:
         # inline form: rows separated by ';', symbols by ','
         rows = parse_rows([[_symbol(v) for v in row.split(",")]
@@ -201,7 +210,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (InstanceFormatError, MatroidSpecError, PreconditionError,
-            GenerationError, OSError, json.JSONDecodeError) as exc:
+            GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -6,11 +6,13 @@ two can cross-check each other.
 
 ``max_common_independent`` keeps, across its augmentations, the elements it
 has found spanned by the current set in M1 (never again a source) and in M2
-(never again a sink), and asks neither predicate about them again; sinks are
-tested only when the search reaches them.  This is exact because augmenting
-along a shortest path never shrinks a span (Cunningham 1986), and it uses
-only the independence predicate and ``fundamental_circuit``, so it holds for
-every species.
+(never again a sink), and asks neither predicate about them again.  Each
+search tests sources lazily, in order, and stops at the first source that is
+also a sink; sinks are tested only when the search reaches them.  This is
+exact because augmenting along a shortest path never shrinks a span
+(Cunningham 1986), and because the first source-sink in order is the path an
+eager search returns; it uses only the independence predicate and
+``fundamental_circuit``, so it holds for every species.
 """
 
 from __future__ import annotations
@@ -181,19 +183,14 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
     ``m1_spanned`` and ``m2_spanned`` hold elements known to be spanned by
     ``current`` in M1 (not sources) and in M2 (not sinks); they are skipped
     here and every newly failed test is added to them.  ``position`` maps
-    each element to its index in ``order``."""
+    each element to its index in ``order``.
+
+    Sources are tested lazily, in order: the search returns at the first
+    source that is also a sink, so no element after it is asked about.  With
+    no such source every source is queued, in order, before the breadth-first
+    search starts, so the path found is the one an eager listing finds."""
     s = frozenset(current)
     outside = [y for y in order if y not in s]
-    sources = []
-    for y in outside:
-        if y in m1_spanned:
-            continue
-        if m1.is_independent(s | {y}):
-            sources.append(y)
-        else:
-            m1_spanned.add(y)
-    if not sources:
-        return None
 
     def is_sink(y):
         # Asked only when the search reaches y, at most once per call.
@@ -206,11 +203,18 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
 
     parent = {}
     queue = deque()
-    for y in sources:
+    for y in outside:
+        if y in m1_spanned:
+            continue
+        if not m1.is_independent(s | {y}):
+            m1_spanned.add(y)
+            continue
         parent[y] = None
         if is_sink(y):
             return [y]
         queue.append(y)
+    if not queue:
+        return None
     # M1 circuit of each non-source addition, computed at most once here.
     m1_circuit = {}
     while queue:

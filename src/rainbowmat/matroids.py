@@ -36,6 +36,25 @@ VERIFY_FACTS = False
 MAX_PRIME = 2**31 - 1
 
 
+def _integer(value, where):
+    """value, if it is an ``int`` that is not a ``bool``; otherwise a
+    MatroidSpecError naming the field it came from."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MatroidSpecError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _integers(values, where):
+    """The entries of values as a tuple, each checked by ``_integer`` and
+    named by its index.  When every entry's type is exactly ``int`` one
+    pass over the types settles it, which keeps long fields cheap."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        for index, value in enumerate(values):
+            _integer(value, f"{where}[{index}]")
+    return values
+
+
 def is_prime(p):
     if p < 2:
         return False
@@ -86,7 +105,7 @@ class MatroidOracle:
     element_field = None
 
     def __init__(self, ground_size):
-        if ground_size < 0:
+        if _integer(ground_size, "ground_size") < 0:
             raise MatroidSpecError("ground_size must be nonnegative")
         self.ground_size = ground_size
         self.independence_calls = 0
@@ -250,7 +269,7 @@ class UniformMatroid(MatroidOracle):
 
     def __init__(self, rank_cap, ground_size):
         super().__init__(ground_size)
-        if rank_cap < 0:
+        if _integer(rank_cap, "rank") < 0:
             raise MatroidSpecError("rank must be nonnegative")
         self.rank_cap = rank_cap
 
@@ -274,17 +293,20 @@ class PartitionMatroid(MatroidOracle):
     element_field = "block_of"
 
     def __init__(self, block_of, capacity):
-        block_of = tuple(block_of)
-        capacity = tuple(capacity)
+        block_of = _integers(block_of, "block_of")
+        capacity = _integers(capacity, "capacity")
         super().__init__(len(block_of))
         for b, c in enumerate(capacity):
             if c < 0:
                 raise MatroidSpecError(f"capacity of block {b} is negative")
-        for idx, b in enumerate(block_of):
-            if not 0 <= b < len(capacity):
-                raise MatroidSpecError(
-                    f"block label {b} of element {idx} out of range"
-                )
+        # One set comparison settles the common in-range case; it keeps the
+        # constructor, type check included, as cheap as an element loop.
+        if not set(block_of).issubset(range(len(capacity))):
+            idx, b = next((idx, b) for idx, b in enumerate(block_of)
+                          if not 0 <= b < len(capacity))
+            raise MatroidSpecError(
+                f"block label {b} of element {idx} out of range"
+            )
         self.block_of = block_of
         self.capacity = capacity
 
@@ -315,9 +337,10 @@ class GraphicMatroid(MatroidOracle):
     element_field = "edges"
 
     def __init__(self, num_vertices, edges):
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple(_integers(edge, f"edges[{idx}]")
+                      for idx, edge in enumerate(edges))
         super().__init__(len(edges))
-        if num_vertices < 0:
+        if _integer(num_vertices, "vertices") < 0:
             raise MatroidSpecError("vertex count must be nonnegative")
         for idx, (u, v) in enumerate(edges):
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
@@ -388,9 +411,10 @@ class LinearMatroid(MatroidOracle):
     element_field = "columns"
 
     def __init__(self, prime, columns):
-        columns = tuple(tuple(int(c) for c in col) for col in columns)
+        columns = tuple(_integers(col, f"columns[{idx}]")
+                        for idx, col in enumerate(columns))
         super().__init__(len(columns))
-        if prime > MAX_PRIME:
+        if _integer(prime, "prime") > MAX_PRIME:
             raise MatroidSpecError(f"prime {prime} exceeds {MAX_PRIME}")
         if not is_prime(prime):
             raise MatroidSpecError(f"{prime} is not prime")
@@ -440,7 +464,7 @@ class ParallelLiftMatroid(MatroidOracle):
     element_field = "value_of"
 
     def __init__(self, value_of, base):
-        value_of = tuple(value_of)
+        value_of = _integers(value_of, "value_of")
         super().__init__(len(value_of))
         for idx, v in enumerate(value_of):
             if not 0 <= v < base.ground_size:

@@ -216,6 +216,39 @@ def test_build_matroid_names_a_missing_or_short_field():
                        "base": {"type": "uniform", "rank": 1}}, 1)
 
 
+@pytest.mark.parametrize("spec, where", [
+    ({"type": "graphic", "vertices": 3, "edges": [[0, 2.9]]},
+     r"edges\[0\]\[1\]: expected an integer, got 2\.9"),
+    ({"type": "graphic", "vertices": 3.0, "edges": [[0, 2]]},
+     "vertices: expected an integer, got 3.0"),
+    ({"type": "graphic", "vertices": 3, "edges": [[True, 2]]},
+     r"edges\[0\]\[0\]: expected an integer, got True"),
+    ({"type": "linear", "prime": 3, "columns": [[1.7, 2]]},
+     r"columns\[0\]\[0\]: expected an integer, got 1\.7"),
+    ({"type": "linear", "prime": 3.0, "columns": [[1, 2]]},
+     "prime: expected an integer, got 3.0"),
+    ({"type": "uniform", "rank": 1.5}, "rank: expected an integer, got 1.5"),
+    ({"type": "uniform", "rank": False}, "rank: expected an integer"),
+    ({"type": "partition", "block_of": [0.0], "capacity": [1]},
+     r"block_of\[0\]: expected an integer, got 0\.0"),
+    ({"type": "partition", "block_of": [0], "capacity": [1.5]},
+     r"capacity\[0\]: expected an integer, got 1\.5"),
+    ({"type": "lift", "value_of": [0.0],
+      "base": {"type": "uniform", "rank": 1, "ground_size": 1}},
+     r"value_of\[0\]: expected an integer, got 0\.0"),
+    ({"type": "lift", "value_of": [0],
+      "base": {"type": "uniform", "rank": 1, "ground_size": "1"}},
+     "base: ground_size: expected an integer, got '1'"),
+], ids=["endpoint", "vertices", "bool_endpoint", "column_entry", "prime",
+        "rank", "bool_rank", "block_label", "capacity", "lift_value",
+        "base_ground_size"])
+def test_build_matroid_rejects_non_integers(spec, where):
+    # Library callers get the integer rule documents have: no truncation of
+    # 2.9 to 2, no fractional rank kept, no float label failing later.
+    with pytest.raises(MatroidSpecError, match=f"^{where}"):
+        build_matroid(spec, 1)
+
+
 def test_unknown_species_has_no_document_form():
     class Free(MatroidOracle):
         species = "free"

@@ -1,6 +1,7 @@
 """JSON document parsing/serialization and the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -267,7 +268,11 @@ class TestCli:
         ([], "rows: expected at least one row"),
         ([[1, 2], 5], "rows[1]: expected a list of integers"),
         ([[1, 2], [2, 1.5]], "rows[1]: expected an integer, got 1.5"),
-    ], ids=["inline_symbol", "object", "empty", "row_not_list", "fraction"])
+        # Existing files that are not JSON: this module and an empty file.
+        (__file__, f"rows: {__file__} is not valid JSON ("),
+        (os.devnull, f"rows: {os.devnull} is not valid JSON (Expecting"),
+    ], ids=["inline_symbol", "object", "empty", "row_not_list", "fraction",
+            "python_file", "empty_file"])
     def test_encode_latin_malformed_rows(self, rows, where, tmp_path,
                                          capsys):
         if not isinstance(rows, str):
@@ -280,6 +285,17 @@ class TestCli:
         assert err.startswith(f"error: {where}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["solve", "--in"],
+                                         ["verify", "--in"],
+                                         ["encode-latin", "--rows"]])
+    def test_binary_input_file(self, command, tmp_path, capsys):
+        path = tmp_path / "data.bin"
+        path.write_bytes(bytes([0x80, 0xff, 0x00, 0x83]))
+        assert main(command + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a text file")
+        assert "Traceback" not in err
 
     def test_verify_agreement(self, tmp_path, capsys):
         src = tmp_path / "inst.json"

@@ -162,6 +162,30 @@ class TestRandomInstance:
                                       "d7ddf7a97ffd567634619bd0b7f943bc")
 
 
+def test_generation_predicate_calls_bounded(monkeypatch):
+    # The primary cost metric of generation, over the grid of
+    # test_generated_documents_pinned: every independence test made while
+    # generating, retries included.  13322 is the count with lazy sources;
+    # listing every source before the search made 27330.
+    calls = []
+    real = MatroidOracle.is_independent
+
+    def counted(self, s):
+        calls.append(None)
+        return real(self, s)
+
+    monkeypatch.setattr(MatroidOracle, "is_independent", counted)
+    for species_m, species_n in (("uniform", "partition"),
+                                 ("partition", "partition"),
+                                 ("partition", "graphic"),
+                                 ("graphic", "graphic"),
+                                 ("graphic", "linear"), ("linear", "linear")):
+        for n in range(2, 6):
+            for seed in range(3):
+                random_instance(species_m, species_n, n, 2 * n - 1, seed)
+    assert len(calls) <= 13322
+
+
 def reference_augmenting_path(m1, m2, current, order):
     """The search without carried span bookkeeping: both predicates are
     asked for every outside element on every call."""
@@ -329,6 +353,21 @@ class TestMaxCommonIndependent:
                     assert before <= after
         # The matching cases reach a path through all 13 edges of a path.
         assert max(path_lengths) == 13
+
+    def test_lazy_sources_stop_at_the_first_source_sink(self):
+        # From the empty set on U(2,4) x U(2,4), element 0 is a source and a
+        # sink: the search asks M1 and M2 about it once each and stops.
+        # Listing every source first costs four M1 tests, and the reference
+        # also tests every sink up front.
+        m1, m2 = UniformMatroid(2, 4), UniformMatroid(2, 4)
+        order = [0, 1, 2, 3]
+        path = lab._augmenting_path(m1, m2, set(), order,
+                                    {x: x for x in order}, set(), set())
+        assert path == [0]
+        assert (m1.independence_calls, m2.independence_calls) == (1, 1)
+        m1, m2 = UniformMatroid(2, 4), UniformMatroid(2, 4)
+        assert reference_augmenting_path(m1, m2, set(), order) == [0]
+        assert m1.independence_calls + m2.independence_calls == 8
 
     @pytest.mark.parametrize("order, message", [
         ([0, 1, 3], "omits element 2"),

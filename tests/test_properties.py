@@ -5,13 +5,17 @@ import random
 import pytest
 
 from rainbowmat import (
+    RainbowAssignment,
+    apply_trail,
     brute_force_rainbow,
     drisko_instance,
+    encode_array,
     random_instance,
     solve,
 )
 from rainbowmat.harness import run_all
-from rainbowmat.lab import SPECIES, random_oracle
+from rainbowmat.lab import SPECIES, random_oracle, random_row_latin
+from rainbowmat.solver import _sweep_for_augmenting_trail
 from rainbowmat.matroids import (
     GraphicMatroid,
     MatroidOracle,
@@ -128,3 +132,69 @@ class TestHarnessSweep:
         b = run_all(("graphic",), cases=40, seed=4)
         assert [(r.name, r.accepted, r.failures) for r in a] == \
             [(r.name, r.accepted, r.failures) for r in b]
+
+
+def stuck_states(instance, cap):
+    """Up to cap inclusion-maximal rainbow assignments of size below n, in
+    depth-first order (each set takes an element before it is skipped)."""
+    family = [sorted(a) for a in instance.family]
+    ground = range(instance.m_oracle.ground_size)
+    addable = {}
+
+    def extensions(r):
+        # Elements x outside r with r + x independent in both matroids.
+        if r not in addable:
+            addable[r] = frozenset(
+                x for x in ground if x not in r
+                and instance.m_oracle.is_independent(r | {x})
+                and instance.n_oracle.is_independent(r | {x}))
+        return addable[r]
+
+    found, choices = [], {}
+
+    def dfs(idx, r):
+        if len(found) == cap or len(r) == instance.n:
+            return
+        if idx == len(family):
+            free = extensions(r)
+            if all(k in choices or free.isdisjoint(a)
+                   for k, a in enumerate(family)):
+                found.append(RainbowAssignment(dict(choices)))
+            return
+        for x in family[idx]:
+            if x in extensions(r):
+                choices[idx] = x
+                dfs(idx + 1, r | {x})
+                del choices[idx]
+        dfs(idx + 1, r)
+
+    dfs(0, frozenset())
+    return found
+
+
+class TestStuckStateCensus:
+    def test_one_sweep_augments_every_stuck_state(self):
+        # On guaranteed inputs (2n - 1 sets), started from any assignment
+        # that no single addition extends, one sweep finds an augmenting
+        # trail.  A maximal state admits no one-step trail, so every trail
+        # here goes through the sweep's exchange steps.
+        pairs = (("uniform", "partition"), ("partition", "partition"),
+                 ("partition", "graphic"), ("graphic", "graphic"),
+                 ("graphic", "linear"), ("linear", "linear"))
+        instances = [random_instance(a, b, n, 2 * n - 1, seed,
+                                     ground_size=n + 3)
+                     for a, b in pairs for n in (3, 4) for seed in range(16)]
+        rng = random.Random(0)
+        instances += [encode_array(random_row_latin(n, 2 * n - 1, rng))
+                      for n in (3, 4) for _ in range(8)]
+        lengths = []
+        for inst in instances:
+            for assignment in stuck_states(inst, cap=100):
+                trail, reason = _sweep_for_augmenting_trail(inst, assignment)
+                assert trail is not None, (inst.digest(), reason)
+                grown = apply_trail(inst, assignment, trail)
+                assert grown.size() == assignment.size() + 1
+                lengths.append(len(trail.steps))
+        assert len(lengths) >= 1500
+        assert min(lengths) >= 2
+        assert max(lengths) >= 4
