@@ -44,11 +44,21 @@ def _integer(value, where):
     return value
 
 
+def _entries(values, where):
+    """The entries of values as a tuple; a MatroidSpecError naming the field
+    if values is not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise MatroidSpecError(
+            f"{where}: expected a list, got {values!r}") from None
+
+
 def _integers(values, where):
     """The entries of values as a tuple, each checked by ``_integer`` and
     named by its index.  When every entry's type is exactly ``int`` one
     pass over the types settles it, which keeps long fields cheap."""
-    values = tuple(values)
+    values = _entries(values, where)
     if not set(map(type, values)) <= {int}:
         for index, value in enumerate(values):
             _integer(value, f"{where}[{index}]")
@@ -338,11 +348,15 @@ class GraphicMatroid(MatroidOracle):
 
     def __init__(self, num_vertices, edges):
         edges = tuple(_integers(edge, f"edges[{idx}]")
-                      for idx, edge in enumerate(edges))
+                      for idx, edge in enumerate(_entries(edges, "edges")))
         super().__init__(len(edges))
         if _integer(num_vertices, "vertices") < 0:
             raise MatroidSpecError("vertex count must be nonnegative")
-        for idx, (u, v) in enumerate(edges):
+        for idx, edge in enumerate(edges):
+            if len(edge) != 2:
+                raise MatroidSpecError(
+                    f"edges[{idx}]: expected two endpoints, got {list(edge)}")
+            u, v = edge
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise MatroidSpecError(
                     f"edge {idx} has an endpoint outside 0..{num_vertices - 1}"
@@ -412,7 +426,7 @@ class LinearMatroid(MatroidOracle):
 
     def __init__(self, prime, columns):
         columns = tuple(_integers(col, f"columns[{idx}]")
-                        for idx, col in enumerate(columns))
+                        for idx, col in enumerate(_entries(columns, "columns")))
         super().__init__(len(columns))
         if _integer(prime, "prime") > MAX_PRIME:
             raise MatroidSpecError(f"prime {prime} exceeds {MAX_PRIME}")
@@ -466,6 +480,8 @@ class ParallelLiftMatroid(MatroidOracle):
     def __init__(self, value_of, base):
         value_of = _integers(value_of, "value_of")
         super().__init__(len(value_of))
+        if not isinstance(base, MatroidOracle):
+            raise MatroidSpecError(f"base: expected an oracle, got {base!r}")
         for idx, v in enumerate(value_of):
             if not 0 <= v < base.ground_size:
                 raise MatroidSpecError(
@@ -521,11 +537,12 @@ def build_matroid(spec, ground_size):
         if key not in spec:
             raise MatroidSpecError(f"{t} matroid: missing '{key}'")
         value = spec[key]
-        if key == cls.element_field and ground_size is not None \
-                and len(value) != ground_size:
-            raise MatroidSpecError(
-                f"{t} matroid: '{key}' has {len(value)} entries, "
-                f"expected {ground_size}")
+        if key == cls.element_field and ground_size is not None:
+            value = _entries(value, key)
+            if len(value) != ground_size:
+                raise MatroidSpecError(
+                    f"{t} matroid: '{key}' has {len(value)} entries, "
+                    f"expected {ground_size}")
         if key == "base":
             try:
                 value = build_matroid(value, None)

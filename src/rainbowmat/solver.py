@@ -4,6 +4,12 @@ Maintains a rainbow set R independent in both matroids, grows the set of
 R-elements reachable by alternating trails one sweep round at a time, and
 augments whenever an augmenting trail appears.  Deterministic lowest-id
 tie-breaking everywhere, so identical inputs give identical runs.
+
+R stays fixed for a whole sweep, so span_N(R) is computed once per sweep
+and kept in its ``SweepState``; the other spans a round uses depend on the
+reachable set and are computed per round.  ``validate_trail`` computes no
+span at all: for independent R and x outside R, x lies in span_N(R)
+exactly when R + x is N-dependent, one predicate call.
 """
 
 from __future__ import annotations
@@ -117,11 +123,16 @@ class Trail:
 @dataclass
 class SweepState:
     """Per-sweep bookkeeping: reachable R-elements, one witness trail per
-    reachable element, and the family indices not yet processed."""
+    reachable element, the family indices not yet processed, and span_N(R),
+    filled in by the first ``sweep_round``.
+
+    A state belongs to one sweep over one R: pass every round the same
+    assignment, and start a new state after an augmentation."""
 
     reachable: set = field(default_factory=set)
     witness: dict = field(default_factory=dict)
     fresh: list = field(default_factory=list)
+    span_n_r: frozenset | None = None
 
 
 @dataclass(frozen=True)
@@ -192,6 +203,13 @@ def validate_trail(instance, assignment, trail):
     Structural violations (reused source, element already in R, malformed
     final step) raise TrailStructureError; failures of the alternating-trail
     properties return False.
+
+    A non-empty trail is tested against R once: an N-dependent R returns
+    False, as the span checks would (an N-independent set of |R| elements
+    cannot lie inside span_N(R) when R is dependent).  For N-independent
+    R and x outside R, x lies in span_N(R) exactly when R + x is
+    N-dependent, so each non-final step costs one predicate call where
+    span_N(R) costs one per ground element.
     """
     r_set = assignment.range_set()
     used_sources = set(assignment.choices)
@@ -233,7 +251,8 @@ def validate_trail(instance, assignment, trail):
         return True
 
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
-    span_n_r = n_oracle.span(r_set)
+    if not n_oracle.is_independent(r_set):
+        return False
     current = set(r_set)
     for step in steps:
         if step.added not in instance.family[step.source]:
@@ -247,8 +266,9 @@ def validate_trail(instance, assignment, trail):
         if not n_oracle.is_independent(current):
             return False
         # |current| = |R| and both independent in N, so span equality
-        # reduces to current being inside span_N(R).
-        if step.added not in span_n_r:
+        # reduces to current being inside span_N(R), that is, to R + added
+        # being N-dependent.
+        if n_oracle.is_independent(r_set | {step.added}):
             return False
     return True
 
@@ -357,13 +377,14 @@ def sweep_round(instance, assignment, state):
     span_m_rest = m_oracle.span(r_set - reachable)
     span_n_reach = n_oracle.span(reachable)
     span_m_r = m_oracle.span(r_set)
-    span_n_r = n_oracle.span(r_set)
+    if state.span_n_r is None:
+        state.span_n_r = n_oracle.span(r_set)
 
     for a in sorted(instance.family[k] - r_set):
         if a in span_m_rest or a in span_n_reach:
             continue
         result = _candidate_branch(instance, assignment, state, k, a,
-                                   r_set, span_m_r, span_n_r)
+                                   r_set, span_m_r, state.span_n_r)
         if result is None:
             continue
         try:

@@ -249,6 +249,48 @@ def test_build_matroid_rejects_non_integers(spec, where):
         build_matroid(spec, 1)
 
 
+@pytest.mark.parametrize("spec, ground_size, where", [
+    ({"type": "graphic", "vertices": 3, "edges": 5}, 1,
+     "edges: expected a list, got 5"),
+    ({"type": "graphic", "vertices": 3, "edges": 5}, None,
+     "edges: expected a list, got 5"),
+    ({"type": "graphic", "vertices": 3, "edges": [[0, 1, 2]]}, 1,
+     r"edges\[0\]: expected two endpoints, got \[0, 1, 2\]"),
+    ({"type": "graphic", "vertices": 3, "edges": [[0]]}, 1,
+     r"edges\[0\]: expected two endpoints, got \[0\]"),
+    ({"type": "graphic", "vertices": 3, "edges": [7]}, 1,
+     r"edges\[0\]: expected a list, got 7"),
+    ({"type": "partition", "block_of": [0], "capacity": 5}, 1,
+     "capacity: expected a list, got 5"),
+    ({"type": "partition", "block_of": None, "capacity": [1]}, 1,
+     "block_of: expected a list, got None"),
+    ({"type": "partition", "block_of": None, "capacity": [1]}, None,
+     "block_of: expected a list, got None"),
+    ({"type": "linear", "prime": 3, "columns": [5]}, 1,
+     r"columns\[0\]: expected a list, got 5"),
+    ({"type": "linear", "prime": 3, "columns": 5}, None,
+     "columns: expected a list, got 5"),
+    ({"type": "lift", "value_of": 0,
+      "base": {"type": "uniform", "rank": 1, "ground_size": 1}}, None,
+     "value_of: expected a list, got 0"),
+    ({"type": "lift", "value_of": [0],
+      "base": {"type": "partition", "block_of": None, "capacity": [1]}}, 1,
+     "base: block_of: expected a list, got None"),
+], ids=["edges_int", "edges_int_no_size", "edge_three_ends", "edge_one_end",
+        "edge_int", "capacity_int", "block_of_none", "block_of_none_no_size",
+        "column_int", "columns_int_no_size", "value_of_int", "base_block_of"])
+def test_build_matroid_rejects_malformed_shapes(spec, ground_size, where):
+    # A field of the wrong shape is named like a wrongly typed entry,
+    # never a bare TypeError or ValueError from unpacking or len().
+    with pytest.raises(MatroidSpecError, match=f"^{where}$"):
+        build_matroid(spec, ground_size)
+
+
+def test_lift_base_must_be_an_oracle():
+    with pytest.raises(MatroidSpecError, match="^base: expected an oracle"):
+        ParallelLiftMatroid([0], {"type": "uniform", "rank": 1})
+
+
 def test_unknown_species_has_no_document_form():
     class Free(MatroidOracle):
         species = "free"

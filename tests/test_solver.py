@@ -1,5 +1,11 @@
 """Seeding, trail validation, sweep rounds, and end-to-end solving."""
 
+import hashlib
+import itertools
+import json
+import random
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +33,8 @@ from rainbowmat import (
     sweep_round,
     validate_trail,
 )
-from rainbowmat.lab import drisko_instance
+from rainbowmat.lab import drisko_instance, random_instance, random_row_latin
+from rainbowmat.solver import _sweep_for_augmenting_trail
 
 
 @pytest.fixture
@@ -216,3 +223,281 @@ class TestSolve:
         out.assignment.validate(cell_instance)
         assert out.stats.fast_path_augments >= 1
         assert not out.stats.fallback_used
+
+
+def reference_validate_trail(instance, assignment, trail):
+    """The checker with span_N(R) computed in full: the same structural
+    checks, then every non-final addition looked up in that span."""
+    r_set = assignment.range_set()
+    used_sources = set(assignment.choices)
+    steps = trail.steps
+    if trail.augmenting and not steps:
+        raise TrailStructureError("an augmenting trail needs at least one step")
+    seen_src, seen_add, seen_rem = set(), set(), set()
+    for pos, step in enumerate(steps):
+        last = pos == len(steps) - 1
+        if not 0 <= step.source < len(instance.family):
+            raise TrailStructureError(f"step {pos}: unknown set index {step.source}")
+        if step.source in used_sources or step.source in seen_src:
+            raise TrailStructureError(f"step {pos}: source index {step.source} reused")
+        if step.added in r_set:
+            raise TrailStructureError(f"step {pos}: added element {step.added} is in R")
+        if step.added in seen_add:
+            raise TrailStructureError(f"step {pos}: added element {step.added} reused")
+        if step.removed is None:
+            if not (last and trail.augmenting):
+                raise TrailStructureError(
+                    f"step {pos}: only the final step of an augmenting trail "
+                    "may omit its removal")
+        else:
+            if last and trail.augmenting:
+                raise TrailStructureError(
+                    "the final step of an augmenting trail must omit its removal")
+            if step.removed not in r_set:
+                raise TrailStructureError(
+                    f"step {pos}: removed element {step.removed} is not in R")
+            if step.removed in seen_rem:
+                raise TrailStructureError(
+                    f"step {pos}: removed element {step.removed} reused")
+        seen_src.add(step.source)
+        seen_add.add(step.added)
+        if step.removed is not None:
+            seen_rem.add(step.removed)
+
+    if not steps:
+        return True
+
+    m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
+    span_n_r = n_oracle.span(r_set)
+    current = set(r_set)
+    for step in steps:
+        if step.added not in instance.family[step.source]:
+            return False
+        current.add(step.added)
+        if not m_oracle.is_independent(current):
+            return False
+        if step.removed is None:
+            return n_oracle.is_independent(current)
+        current.discard(step.removed)
+        if not n_oracle.is_independent(current):
+            return False
+        if step.added not in span_n_r:
+            return False
+    return True
+
+
+#: The structural errors of a trail, one pattern per kind of message.
+STRUCTURAL = ("needs at least one step", "unknown set index",
+              "source index .* reused", "added element .* is in R",
+              "added element .* reused", "may omit its removal",
+              "must omit its removal", "removed element .* is not in R",
+              "removed element .* reused")
+
+
+def random_assignment(instance, rng, dependent=None):
+    """A random rainbow assignment.  With dependent None every pick keeps
+    the range independent in both matroids, which leaves it maximal;
+    with "M" or "N" picks are unchecked until that side is dependent."""
+    choices = {}
+    indices = list(range(len(instance.family)))
+    rng.shuffle(indices)
+    for idx in indices:
+        picks = sorted(instance.family[idx] - set(choices.values()))
+        rng.shuffle(picks)
+        for x in picks:
+            r = set(choices.values()) | {x}
+            if dependent is not None or (
+                    instance.m_oracle.is_independent(r)
+                    and instance.n_oracle.is_independent(r)):
+                choices[idx] = x
+                break
+        oracle = {"M": instance.m_oracle, "N": instance.n_oracle}.get(dependent)
+        if oracle is not None and not oracle.is_independent(
+                choices.values()):
+            break
+    return RainbowAssignment(choices)
+
+
+def random_trail(instance, assignment, rng):
+    """Distinct unused sources, additions outside R from each source's set
+    (or from anywhere), distinct removals from R, then at most one
+    structural fault."""
+    r = sorted(assignment.range_set())
+    ground = range(instance.m_oracle.ground_size)
+    free = [k for k in range(len(instance.family))
+            if k not in assignment.choices]
+    augmenting = rng.random() < 0.5
+    length = min(rng.randint(1, len(r) + 1), len(free),
+                 len(r) + augmenting)
+    sources = rng.sample(free, length)
+    removals = rng.sample(r, max(0, length - augmenting))
+    steps, added = [], set()
+    for pos, k in enumerate(sources):
+        pool = sorted((instance.family[k] if rng.random() < 0.8
+                       else set(ground)) - assignment.range_set() - added)
+        if not pool:
+            break
+        a = rng.choice(pool)
+        added.add(a)
+        removed = removals[pos] if pos < len(removals) else None
+        steps.append(TrailStep(k, a, removed))
+    return fault(instance, assignment, Trail(tuple(steps), augmenting), rng)
+
+
+def fault(instance, assignment, trail, rng):
+    """trail with one random structural fault, or unchanged."""
+    steps = list(trail.steps)
+    if not steps or rng.random() < 0.6:
+        return trail
+    pos = rng.randrange(len(steps))
+    step = steps[pos]
+    r = sorted(assignment.range_set())
+    kind = rng.randrange(9)
+    if kind == 0:
+        return Trail((), True)
+    if kind == 1:
+        steps[pos] = replace(step, source=len(instance.family))
+    elif kind == 2 and assignment.choices:
+        steps[pos] = replace(step,
+                             source=rng.choice(sorted(assignment.choices)))
+    elif kind == 3 and r:
+        steps[pos] = replace(step, added=rng.choice(r))
+    elif kind == 4 and pos:
+        steps[pos] = replace(step, added=steps[0].added)
+    elif kind == 5:
+        steps[pos] = replace(step, removed=None)
+        return Trail(tuple(steps), False)
+    elif kind == 6 and r:
+        steps[-1] = replace(steps[-1], removed=r[0])
+        return Trail(tuple(steps), True)
+    elif kind == 7:
+        outside = sorted(set(range(instance.m_oracle.ground_size))
+                         - assignment.range_set())
+        steps[pos] = replace(step, removed=rng.choice(outside))
+    elif kind == 8 and pos and steps[0].removed is not None:
+        steps[pos] = replace(step, removed=steps[0].removed)
+    return Trail(tuple(steps), trail.augmenting)
+
+
+def outcome(check, instance, assignment, trail):
+    """check's answer, or the type of what it raised, and the predicate
+    calls it made."""
+    before = sum(instance.oracle_calls().values())
+    try:
+        answer = check(instance, assignment, trail)
+    except Exception as exc:  # compared by type
+        answer = type(exc)
+    return answer, sum(instance.oracle_calls().values()) - before
+
+
+def test_validate_trail_matches_the_span_reference(monkeypatch):
+    # The trails the sweep itself builds from random maximal assignments
+    # (long exchange trails included), each also with one structural
+    # fault, and random trails on valid, M-dependent and N-dependent
+    # ranges, over random species pairs and row-Latin arrays.
+    rng = random.Random(2024)
+    pairs = (("uniform", "partition"), ("partition", "graphic"),
+             ("graphic", "linear"), ("linear", "linear"))
+    instances = [random_instance(a, b, n, 2 * n - 1, seed,
+                                 ground_size=n + 3)
+                 for a, b in pairs for n in (3, 4) for seed in range(6)]
+    instances += [encode_array(random_row_latin(n, 2 * n - 1, rng).rows)
+                  for n in (3, 4, 5) for _ in range(6)]
+    cases = []
+    real = solver.validate_trail
+
+    def recorded(instance, assignment, trail):
+        cases.append((instance, assignment, trail))
+        return real(instance, assignment, trail)
+
+    for instance in instances:
+        for _ in range(3):
+            assignment = random_assignment(instance, rng)
+            if assignment.size() < instance.n:
+                monkeypatch.setattr(solver, "validate_trail", recorded)
+                start = len(cases)
+                _sweep_for_augmenting_trail(instance, assignment)
+                monkeypatch.setattr(solver, "validate_trail", real)
+                cases += [(i, a, fault(i, a, t, rng))
+                          for i, a, t in cases[start:]]
+            for dependent in (None, "M", "N"):
+                if dependent is not None:
+                    assignment = random_assignment(instance, rng, dependent)
+                cases += [(instance, assignment,
+                           random_trail(instance, assignment, rng))
+                          for _ in range(8)]
+
+    answers, errors, long_trails, long_accepted = set(), set(), 0, 0
+    for instance, assignment, trail in cases:
+        want, want_calls = outcome(reference_validate_trail,
+                                   instance, assignment, trail)
+        got, got_calls = outcome(validate_trail, instance, assignment, trail)
+        assert got == want and type(got) is type(want), trail
+        assert got_calls <= want_calls, trail
+        answers.add(got)
+        if got is TrailStructureError:
+            try:
+                validate_trail(instance, assignment, trail)
+            except TrailStructureError as exc:
+                errors.update(p for p in STRUCTURAL if re.search(p, str(exc)))
+        elif sum(s.removed is not None for s in trail.steps) >= 2:
+            long_trails += 1
+            long_accepted += got is True
+    print(f"\n{len(cases)} trails, {long_trails} with two or more non-final "
+          f"steps ({long_accepted} valid)")
+    assert answers == {True, False, TrailStructureError}
+    assert errors == set(STRUCTURAL)
+    assert long_accepted >= 20
+
+
+def test_drisko_flip_predicate_calls_bounded():
+    # The primary metric on the flip path: every independence test made
+    # encoding and solving the 120 single-row extensions of
+    # drisko_instance(5).  73200 is the count with span_N(R) once per sweep
+    # and one membership call per trail step; computing span_N(R) in every
+    # sweep round and in every trail check made 110064.
+    n = 5
+    rows = ([tuple(range(1, n + 1))] * (n - 1)
+            + [tuple(range(2, n + 1)) + (1,)] * (n - 1))
+    total = 0
+    for perm in itertools.permutations(range(1, n + 1)):
+        instance = encode_array(rows + [perm])
+        assert solve(instance).status == "solved"
+        total += sum(instance.oracle_calls().values())
+    assert total <= 73200
+
+
+def pinned_inputs():
+    """Drisko flips at n = 3..6, the six generator species pairs at
+    n = 2..5 with seeds 0-2, and 16 random row-Latin arrays."""
+    for n in range(3, 7):
+        rows = ([tuple(range(1, n + 1))] * (n - 1)
+                + [tuple(range(2, n + 1)) + (1,)] * (n - 1))
+        for perm in itertools.permutations(range(1, n + 1)):
+            yield encode_array(rows + [perm])
+    for species_m, species_n in (("uniform", "partition"),
+                                 ("partition", "partition"),
+                                 ("partition", "graphic"),
+                                 ("graphic", "graphic"),
+                                 ("graphic", "linear"), ("linear", "linear")):
+        for n in range(2, 6):
+            for seed in range(3):
+                yield random_instance(species_m, species_n, n, 2 * n - 1, seed)
+    rng = random.Random(16)
+    for n in (3, 4, 5, 6) * 4:
+        yield encode_array(random_row_latin(n, 2 * n - 1, rng).rows)
+
+
+def test_solver_answers_pinned():
+    # Every answer the solver gives here, (status, size, sorted
+    # assignment), hashed and pinned to the digest of the code that
+    # computed span_N(R) in every round: a change to the sweep or to trail
+    # checking must leave each answer as it is.
+    digest = hashlib.sha256()
+    for instance in pinned_inputs():
+        out = solve(instance)
+        digest.update(json.dumps(
+            [out.status, out.size(),
+             sorted(out.assignment.choices.items())]).encode() + b"\n")
+    assert digest.hexdigest() == ("3076afb4387e1255fea704249f34f0f0"
+                                  "45d0fb378f006debae77110b4e4b9109")
