@@ -5,10 +5,17 @@ R-elements reachable by alternating trails one sweep round at a time, and
 augments whenever an augmenting trail appears.  Deterministic lowest-id
 tie-breaking everywhere, so identical inputs give identical runs.
 
+The sweep runs the paper's counting argument: a fresh set meets
+span_M(R - reachable) and span_N(reachable) in at most |R| < n elements,
+so each round reaches a new R-element or augments, and a sweep uses at
+most |R| + 1 <= n fresh sets.  On 2n - 1 sets a stall raises
+``TheoremViolationError``; cat search and brute force serve smaller ones.
+
 R stays fixed for a whole sweep, so span_N(R) is computed once per sweep
 and kept in its ``SweepState``; the other spans a round uses depend on the
-reachable set and are computed per round.  ``validate_trail`` computes no
-span at all: for independent R and x outside R, x lies in span_N(R)
+reachable set and are computed per round.  ``validate_trail``, called by
+``apply_trail`` on every trail it applies, is the one trail check.  It
+computes no span: for independent R and x outside R, x lies in span_N(R)
 exactly when R + x is N-dependent, one predicate call.
 """
 
@@ -30,7 +37,7 @@ class TrailStructureError(ValueError):
 
 
 class TheoremViolationError(RuntimeError):
-    """No augmentation found on an instance with enough sets: a solver bug."""
+    """A failed sweep invariant, or a stall on 2n - 1 sets: a solver bug."""
 
 
 @dataclass(frozen=True)
@@ -297,64 +304,57 @@ def apply_trail(instance, assignment, trail):
 
 def _rewind_prefix(witness, circuit):
     """Truncate a witness trail at the first step whose removal lies in the
-    given circuit; return (prefix steps, that removed element)."""
+    circuit; each witness ends by removing its own element."""
     for pos, step in enumerate(witness.steps):
         if step.removed in circuit:
-            return witness.steps[:pos + 1], step.removed
-    return None, None
+            return witness.steps[:pos + 1]
+    raise TheoremViolationError(
+        "the witness trail removes no element of the circuit")
 
 
 def _applied_keep_last(r_set, prefix):
     """R with the prefix applied, except that the last removal is kept."""
-    out = set(r_set)
-    for step in prefix:
-        out.add(step.added)
-    for step in prefix[:-1]:
-        out.discard(step.removed)
-    return frozenset(out)
+    added = {step.added for step in prefix}
+    removed = {step.removed for step in prefix[:-1]}
+    return (r_set | added) - removed
 
 
-def _candidate_branch(instance, assignment, state, k, a, r_set,
-                      span_m_r, span_n_r):
-    """Build the sweep result for one candidate element, or None if the
-    witness bookkeeping cannot support it."""
+def _check_witnesses(state):
+    """Raise when a reachable element has no witness trail."""
+    for x in sorted(state.reachable):
+        if x not in state.witness:
+            raise PreconditionError(f"reachable element {x} has no witness")
+
+
+def _candidate_branch(instance, state, k, a, r_set, span_m_r):
+    """The sweep result for candidate a of fresh set k, which lies outside
+    span_M(R - reachable) and span_N(reachable): so its N-circuit has an
+    unreachable element and its M-circuit meets the reachable set."""
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
+    prefix = ()
+    if a in span_m_r:
+        # a is spanned by R in M: rewind through an existing witness.
+        c_m = m_oracle.fundamental_circuit(r_set, a)
+        prefix = _rewind_prefix(state.witness[min(c_m & state.reachable)],
+                                c_m)
+        applied = _applied_keep_last(r_set, prefix)
+        if a in applied or not m_oracle.is_independent(applied):
+            raise TheoremViolationError(
+                f"the rewound witness for {a} contains it or is M-dependent")
+        if m_oracle.fundamental_circuit(applied, a) != c_m:
+            # Guaranteed equal for a valid witness; a mismatch means the
+            # bookkeeping no longer matches R.
+            raise TheoremViolationError(
+                f"the M-circuit of {a} drifted during the rewind")
 
-    if a not in span_m_r:
-        if a not in span_n_r:
-            return Augment(Trail((TrailStep(k, a, None),), True))
-        pool = sorted(n_oracle.fundamental_circuit(r_set, a) - state.reachable)
-        if not pool:
-            return None
-        return NewReachable(pool[0], Trail((TrailStep(k, a, pool[0]),), False))
-
-    # a is spanned by R in M: rewind through an existing witness.
-    c_m = m_oracle.fundamental_circuit(r_set, a)
-    hits = sorted(c_m & state.reachable)
-    if not hits:
-        return None
-    prefix, _r_prime = _rewind_prefix(state.witness[hits[0]], c_m)
-    if prefix is None:
-        return None
-    applied = _applied_keep_last(r_set, prefix)
-    if a in applied or not m_oracle.is_independent(applied):
-        return None
-    if m_oracle.fundamental_circuit(applied, a) != c_m:
-        # Guaranteed equal for a valid witness; a mismatch means the
-        # bookkeeping no longer matches R, so fall back.
-        logger.warning("fundamental circuit drifted during rewind; stalling")
-        return None
-
-    if a not in span_n_r:
+    if a not in state.span_n_r:
         return Augment(Trail(prefix + (TrailStep(k, a, None),), True))
 
-    pool = sorted(n_oracle.fundamental_circuit(r_set, a) - state.reachable)
-    if not pool:
-        return None
-    r_new = pool[0]
+    r_new = min(n_oracle.fundamental_circuit(r_set, a) - state.reachable)
     for pos, step in enumerate(prefix):
-        if step.added not in span_n_r:
-            return None
+        if step.added not in state.span_n_r:
+            raise TheoremViolationError(
+                f"witness addition {step.added} lies outside span_N(R)")
         if r_new in n_oracle.fundamental_circuit(r_set, step.added):
             # Truncate at the first step whose addition could have removed
             # r_new instead; swap that removal for r_new.
@@ -364,45 +364,33 @@ def _candidate_branch(instance, assignment, state, k, a, r_set,
 
 
 def sweep_round(instance, assignment, state):
-    """Process the next fresh set: either report a newly reachable R-element
-    with its witness trail, or produce an augmenting trail."""
+    """Process the next fresh set: its first candidate that passes the span
+    filters yields a newly reachable R-element with its witness trail, or an
+    augmenting trail."""
     if assignment.size() >= instance.n:
         raise PreconditionError("assignment already reached the target size")
     if not state.fresh:
         raise PreconditionError("no fresh set left to process")
+    _check_witnesses(state)
     k = state.fresh.pop(0)
     r_set = assignment.range_set()
-    reachable = frozenset(state.reachable)
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
-    span_m_rest = m_oracle.span(r_set - reachable)
-    span_n_reach = n_oracle.span(reachable)
+    span_m_rest = m_oracle.span(r_set - state.reachable)
+    span_n_reach = n_oracle.span(state.reachable)
     span_m_r = m_oracle.span(r_set)
     if state.span_n_r is None:
         state.span_n_r = n_oracle.span(r_set)
 
     for a in sorted(instance.family[k] - r_set):
-        if a in span_m_rest or a in span_n_reach:
-            continue
-        result = _candidate_branch(instance, assignment, state, k, a,
-                                   r_set, span_m_r, state.span_n_r)
-        if result is None:
-            continue
-        try:
-            ok = validate_trail(instance, assignment, result.trail)
-        except TrailStructureError:
-            ok = False
-        if not ok:
-            continue
-        if isinstance(result, NewReachable) and result.element in state.reachable:
-            continue
-        return result
+        if a not in span_m_rest and a not in span_n_reach:
+            return _candidate_branch(instance, state, k, a, r_set, span_m_r)
     return Stalled(f"no usable candidate in set {k}")
 
 
 def close_round(instance, assignment, state, final_index):
     """Once every R-element is reachable, one more set yields an augmenting
-    trail: pick an addition keeping N-independence and splice it onto the
-    witness of a clashing M-circuit element."""
+    trail: the first a_n with R + a_n N-independent (the augmentation axiom)
+    spliced onto the witness of a clashing M-circuit element."""
     r_set = assignment.range_set()
     if frozenset(state.reachable) != r_set:
         raise PreconditionError("close_round requires every R-element reachable")
@@ -410,40 +398,31 @@ def close_round(instance, assignment, state, final_index):
         raise PreconditionError("assignment already reached the target size")
     if final_index in assignment.choices:
         raise PreconditionError("the closing set is already used as a source")
+    _check_witnesses(state)
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
 
     for a_n in sorted(instance.family[final_index] - r_set):
         if not n_oracle.is_independent(r_set | {a_n}):
             continue
-        if m_oracle.is_independent(r_set | {a_n}):
-            trail = Trail((TrailStep(final_index, a_n, None),), True)
-        else:
+        prefix = ()
+        if not m_oracle.is_independent(r_set | {a_n}):
             c_m = m_oracle.fundamental_circuit(r_set, a_n)
-            hits = sorted(c_m)
-            if not hits or hits[0] not in state.witness:
-                continue
-            prefix, _r = _rewind_prefix(state.witness[hits[0]], c_m)
-            if prefix is None:
-                continue
-            trail = Trail(prefix + (TrailStep(final_index, a_n, None),), True)
-        try:
-            if validate_trail(instance, assignment, trail):
-                return Augment(trail)
-        except TrailStructureError:
-            continue
+            prefix = _rewind_prefix(state.witness[min(c_m)], c_m)
+        return Augment(Trail(prefix + (TrailStep(final_index, a_n, None),),
+                             True))
     return Stalled(f"no closing element in set {final_index}")
 
 
 def exhaustive_cat_search(instance, assignment):
     """Breadth-first search over all valid trails up to length |R| + 1 for an
-    augmenting one.  Independent of the sweep machinery; used as a fallback."""
+    augmenting one.  Independent of the sweep machinery; a fallback for
+    families of fewer than 2n - 1 sets only."""
     r_set = assignment.range_set()
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
     span_n_r = n_oracle.span(r_set)
     free = sorted(set(range(len(instance.family))) - set(assignment.choices))
     max_len = len(r_set) + 1
-    queue = deque()
-    queue.append(((), frozenset(r_set), frozenset(), frozenset()))
+    queue = deque([((), r_set, frozenset(), frozenset())])
     while queue:
         steps, current, used_src, used_add = queue.popleft()
         if len(steps) >= max_len:
@@ -452,8 +431,6 @@ def exhaustive_cat_search(instance, assignment):
             if k in used_src:
                 continue
             for a in sorted(instance.family[k] - r_set - used_add):
-                if a in current:
-                    continue
                 plus = current | {a}
                 if not m_oracle.is_independent(plus):
                     continue
@@ -486,19 +463,18 @@ def _sweep_for_augmenting_trail(instance, assignment):
             return None, "fresh sets exhausted before covering R"
         else:
             result = sweep_round(instance, assignment, state)
+        if isinstance(result, Stalled):
+            return None, result.reason
         if isinstance(result, Augment):
             return result.trail, None
-        if isinstance(result, NewReachable):
-            state.reachable.add(result.element)
-            state.witness[result.element] = result.trail
-            continue
-        return None, result.reason
+        state.reachable.add(result.element)
+        state.witness[result.element] = result.trail
 
 
 def solve(instance):
     """Grow a rainbow common independent set to the target size.
 
-    With at least 2n-1 family sets the result always has size n; smaller
+    With at least 2n-1 family sets the sweep alone reaches size n; smaller
     families may come back infeasible, certified by brute force.
     """
     from .lab import max_rainbow  # local import to avoid a cycle
@@ -507,41 +483,35 @@ def solve(instance):
     stats = SolveStats()
     calls_before = instance.oracle_calls()
     assignment = greedy_seed(instance)
-    guaranteed = len(instance.family) >= 2 * instance.n - 1
 
     while assignment.size() < instance.n:
         trail, stall_reason = _sweep_for_augmenting_trail(instance, assignment)
         if trail is not None:
-            assignment = apply_trail(instance, assignment, trail)
             stats.fast_path_augments += 1
-            continue
-
-        stats.fallback_events.append(
-            {"digest": instance.digest(), "size": assignment.size(),
-             "reason": stall_reason})
-        logger.warning("fast path stalled (%s); falling back", stall_reason)
-        trail = exhaustive_cat_search(instance, assignment)
-        if trail is not None:
-            assignment = apply_trail(instance, assignment, trail)
-            stats.cat_search_augments += 1
-            continue
-
-        stats.brute_force_used = True
-        assignment = max_rainbow(instance, instance.n - 1 if guaranteed
-                                 else assignment.size()) or assignment
-        if assignment.size() == instance.n:
-            continue
-        if guaranteed:
+        elif len(instance.family) >= 2 * instance.n - 1:
             raise TheoremViolationError(
-                "no augmentation found although the family has 2n-1 sets; "
-                f"instance digest {instance.digest()}")
-        calls_after = instance.oracle_calls()
-        stats.oracle_calls_m = calls_after["M"] - calls_before["M"]
-        stats.oracle_calls_n = calls_after["N"] - calls_before["N"]
-        return SolveResult("infeasible", assignment, stats, instance.n)
+                f"the sweep stalled ({stall_reason}) although the family has "
+                f"2n-1 sets; instance digest {instance.digest()}")
+        else:
+            stats.fallback_events.append(
+                {"digest": instance.digest(), "size": assignment.size(),
+                 "reason": stall_reason})
+            logger.warning("fast path stalled (%s); falling back",
+                           stall_reason)
+            trail = exhaustive_cat_search(instance, assignment)
+            if trail is None:
+                break
+            stats.cat_search_augments += 1
+        assignment = apply_trail(instance, assignment, trail)
+
+    if assignment.size() < instance.n:
+        stats.brute_force_used = True
+        assignment = max_rainbow(instance, assignment.size()) or assignment
 
     calls_after = instance.oracle_calls()
     stats.oracle_calls_m = calls_after["M"] - calls_before["M"]
     stats.oracle_calls_n = calls_after["N"] - calls_before["N"]
-    assignment.validate(instance)
-    return SolveResult("solved", assignment, stats, instance.n)
+    status = "solved" if assignment.size() == instance.n else "infeasible"
+    if status == "solved":
+        assignment.validate(instance)
+    return SolveResult(status, assignment, stats, instance.n)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rainbowmat
+from rainbowmat import solver
 
 
 @pytest.fixture
@@ -25,3 +26,21 @@ def run_python():
                               capture_output=True, text=True, timeout=300)
 
     return run
+
+
+@pytest.fixture
+def sweep_rounds(monkeypatch):
+    """Record every ``sweep_round`` and ``close_round`` call the solver
+    makes; returns the list of (instance, assignment, result)."""
+    rounds = []
+
+    def recorded(real):
+        def round_(instance, assignment, *args):
+            result = real(instance, assignment, *args)
+            rounds.append((instance, assignment, result))
+            return result
+        return round_
+
+    for name in ("sweep_round", "close_round"):
+        monkeypatch.setattr(solver, name, recorded(getattr(solver, name)))
+    return rounds

@@ -1,17 +1,20 @@
 """Randomized invariant checks across oracle species and the solver."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from rainbowmat import (
     RainbowAssignment,
+    Stalled,
     apply_trail,
     brute_force_rainbow,
     drisko_instance,
     encode_array,
     random_instance,
     solve,
+    validate_trail,
 )
 from rainbowmat.harness import run_all
 from rainbowmat.lab import SPECIES, random_oracle, random_row_latin
@@ -197,4 +200,48 @@ class TestStuckStateCensus:
                 lengths.append(len(trail.steps))
         assert len(lengths) >= 1500
         assert min(lengths) >= 2
+        assert max(lengths) >= 4
+
+    def test_rounds_never_stall_and_build_valid_trails(self, sweep_rounds):
+        # The rounds return their first candidate's result and check
+        # nothing themselves.  By the counting argument no round stalls on
+        # a common independent n-set, and every trail a round builds must
+        # pass validate_trail; a narrow family (m < 2n - 1) may only run
+        # out of fresh sets.  Started from stuck states, so the rounds
+        # rewind witnesses.
+        pairs = (("uniform", "partition"), ("partition", "partition"),
+                 ("partition", "graphic"), ("graphic", "graphic"),
+                 ("graphic", "linear"), ("linear", "linear"))
+        rng = random.Random(11)
+        narrow = [random_instance(a, b, n, m, seed, ground_size=n + 3)
+                  for a, b in pairs for n in (3, 4)
+                  for m in range(2, 2 * n - 1) for seed in range(4)]
+        narrow += [encode_array(random_row_latin(n, m, rng))
+                   for n in (3, 4, 5) for m in range(n, 2 * n - 1)
+                   for _ in range(3)]
+        guaranteed = [random_instance(a, b, n, 2 * n - 1, seed,
+                                      ground_size=n + 3)
+                      for a, b in pairs for n in (3, 4)
+                      for seed in range(20, 24)]
+        guaranteed += [encode_array(random_row_latin(n, 2 * n - 1, rng))
+                       for n in (3, 4, 5) for _ in range(4)]
+        reasons = Counter()
+        for inst in narrow:
+            for assignment in stuck_states(inst, cap=30):
+                _, reason = _sweep_for_augmenting_trail(inst, assignment)
+                reasons[reason] += 1
+        for inst in guaranteed:
+            for assignment in stuck_states(inst, cap=30):
+                trail, reason = _sweep_for_augmenting_trail(inst, assignment)
+                assert trail is not None, (inst.digest(), reason)
+        kinds, lengths = Counter(), Counter()
+        for inst, assignment, result in sweep_rounds:
+            assert not isinstance(result, Stalled), (inst.digest(), result)
+            assert validate_trail(inst, assignment, result.trail), result
+            kinds[type(result).__name__] += 1
+            lengths[len(result.trail.steps)] += 1
+        print(f"\n{dict(reasons)} {dict(kinds)} {sorted(lengths.items())}")
+        assert set(reasons) == {None, "fresh sets exhausted before covering R",
+                                "no fresh set left for the closing round"}
+        assert kinds["NewReachable"] >= 2000 and kinds["Augment"] >= 500
         assert max(lengths) >= 4

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmat import solver
+from rainbowmat import lab, solver
 from rainbowmat import (
     Augment,
     NewReachable,
@@ -50,6 +50,25 @@ def cell_instance():
     # rows (1,2), (2,1), (2,1): cells 0..5 in row-major order;
     # columns on one side, symbols on the other.
     return encode_array([(1, 2), (2, 1), (2, 1)])
+
+
+@pytest.fixture
+def forced_stall(monkeypatch):
+    """Every sweep stalls; returns the fallback layers called, in order."""
+    calls = []
+
+    def counted(name, real):
+        def layer(*args):
+            calls.append(name)
+            return real(*args)
+        return layer
+
+    monkeypatch.setattr(solver, "_sweep_for_augmenting_trail",
+                        lambda instance, assignment: (None, "forced"))
+    monkeypatch.setattr(solver, "exhaustive_cat_search",
+                        counted("cat", solver.exhaustive_cat_search))
+    monkeypatch.setattr(lab, "max_rainbow", counted("brute", lab.max_rainbow))
+    return calls
 
 
 class TestGreedySeed:
@@ -168,6 +187,23 @@ class TestSweepRound:
         out = sweep_round(inst, r, SweepState(fresh=[1]))
         assert isinstance(out, Stalled)
 
+    def test_rejects_reachable_without_witness(self, cell_instance):
+        r = RainbowAssignment({0: 0})
+        state = SweepState(reachable={0}, fresh=[1])
+        with pytest.raises(PreconditionError, match="element 0 has no"):
+            sweep_round(cell_instance, r, state)
+        assert state.fresh == [1]
+
+    def test_witness_missing_its_removal_is_a_theorem_violation(
+            self, cell_instance):
+        # Cell 4 shares column 0 with cell 0, so the round rewinds the
+        # witness of 0, which never removes 0.
+        r = RainbowAssignment({0: 0})
+        state = SweepState(reachable={0}, witness={0: Trail((), False)},
+                           fresh=[2])
+        with pytest.raises(TheoremViolationError, match="removes no element"):
+            sweep_round(cell_instance, r, state)
+
 
 class TestCloseRound:
     def test_witness_extension(self, cell_instance):
@@ -189,6 +225,20 @@ class TestCloseRound:
         r = RainbowAssignment({0: 0})
         with pytest.raises(PreconditionError, match="reachable"):
             close_round(cell_instance, r, SweepState(fresh=[2]), 2)
+
+    def test_rejects_reachable_without_witness(self, cell_instance):
+        r = RainbowAssignment({0: 0})
+        state = SweepState(reachable={0}, fresh=[1])
+        with pytest.raises(PreconditionError, match="element 0 has no"):
+            close_round(cell_instance, r, state, 1)
+
+    def test_witness_missing_its_removal_is_a_theorem_violation(
+            self, cell_instance):
+        r = RainbowAssignment({0: 0})
+        state = SweepState(reachable={0}, witness={0: Trail((), False)},
+                           fresh=[2])
+        with pytest.raises(TheoremViolationError, match="removes no element"):
+            close_round(cell_instance, r, state, 2)
 
 
 class TestSolve:
@@ -223,6 +273,23 @@ class TestSolve:
         out.assignment.validate(cell_instance)
         assert out.stats.fast_path_augments >= 1
         assert not out.stats.fallback_used
+
+    def test_guaranteed_stall_raises_at_once(self, cell_instance,
+                                              forced_stall):
+        # cell_instance has 2n - 1 sets and its greedy seed stops at 1.
+        with pytest.raises(TheoremViolationError) as err:
+            solve(cell_instance)
+        assert "(forced)" in str(err.value)
+        assert cell_instance.digest() in str(err.value)
+        assert forced_stall == []
+
+    def test_narrow_stall_falls_back(self, forced_stall):
+        inst = drisko_instance(2)
+        out = solve(inst)
+        assert out.status == "infeasible" and out.size() == 1
+        assert forced_stall == ["cat", "brute"]
+        assert out.stats.fallback_events == [
+            {"digest": inst.digest(), "size": 1, "reason": "forced"}]
 
 
 def reference_validate_trail(instance, assignment, trail):
@@ -390,7 +457,7 @@ def outcome(check, instance, assignment, trail):
     return answer, sum(instance.oracle_calls().values()) - before
 
 
-def test_validate_trail_matches_the_span_reference(monkeypatch):
+def test_validate_trail_matches_the_span_reference(sweep_rounds):
     # The trails the sweep itself builds from random maximal assignments
     # (long exchange trails included), each also with one structural
     # fault, and random trails on valid, M-dependent and N-dependent
@@ -404,22 +471,17 @@ def test_validate_trail_matches_the_span_reference(monkeypatch):
     instances += [encode_array(random_row_latin(n, 2 * n - 1, rng).rows)
                   for n in (3, 4, 5) for _ in range(6)]
     cases = []
-    real = solver.validate_trail
-
-    def recorded(instance, assignment, trail):
-        cases.append((instance, assignment, trail))
-        return real(instance, assignment, trail)
-
     for instance in instances:
         for _ in range(3):
             assignment = random_assignment(instance, rng)
             if assignment.size() < instance.n:
-                monkeypatch.setattr(solver, "validate_trail", recorded)
-                start = len(cases)
+                start = len(sweep_rounds)
                 _sweep_for_augmenting_trail(instance, assignment)
-                monkeypatch.setattr(solver, "validate_trail", real)
-                cases += [(i, a, fault(i, a, t, rng))
-                          for i, a, t in cases[start:]]
+                built = [(i, a, result.trail)
+                         for i, a, result in sweep_rounds[start:]
+                         if not isinstance(result, Stalled)]
+                cases += built + [(i, a, fault(i, a, t, rng))
+                                  for i, a, t in built]
             for dependent in (None, "M", "N"):
                 if dependent is not None:
                     assignment = random_assignment(instance, rng, dependent)
@@ -453,9 +515,10 @@ def test_validate_trail_matches_the_span_reference(monkeypatch):
 def test_drisko_flip_predicate_calls_bounded():
     # The primary metric on the flip path: every independence test made
     # encoding and solving the 120 single-row extensions of
-    # drisko_instance(5).  73200 is the count with span_N(R) once per sweep
-    # and one membership call per trail step; computing span_N(R) in every
-    # sweep round and in every trail check made 110064.
+    # drisko_instance(5).  68928 is the count with the sweep rounds
+    # returning their first candidate unchecked; checking every round's
+    # trail with validate_trail made 73200, and computing span_N(R) in
+    # every sweep round and in every trail check made 110064.
     n = 5
     rows = ([tuple(range(1, n + 1))] * (n - 1)
             + [tuple(range(2, n + 1)) + (1,)] * (n - 1))
@@ -464,7 +527,7 @@ def test_drisko_flip_predicate_calls_bounded():
         instance = encode_array(rows + [perm])
         assert solve(instance).status == "solved"
         total += sum(instance.oracle_calls().values())
-    assert total <= 73200
+    assert total <= 68928
 
 
 def pinned_inputs():
