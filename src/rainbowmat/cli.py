@@ -62,6 +62,17 @@ def _species_pair(text):
     return tuple(parts)
 
 
+def _nonnegative(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _cmd_solve(args):
     instance, names = parse_instance(_read(args.infile))
     result = solve(instance)
@@ -188,13 +199,13 @@ def build_parser():
     p.add_argument("--species", type=_species_pair, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_nonnegative, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_stress)
 
     p = sub.add_parser("selftest", help="run the randomized fact harnesses")
-    p.add_argument("--cases", type=int, default=1000)
+    p.add_argument("--cases", type=_nonnegative, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_selftest)
 

@@ -17,6 +17,7 @@ eager search returns; it uses only the independence predicate and
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections import deque
@@ -73,6 +74,16 @@ def random_row_latin(n, m, rng):
     return LatinArray(tuple(rows), n)
 
 
+@functools.lru_cache(maxsize=64)
+def _array_cells(m, n):
+    """The column of each cell and the cells of each row, for an m x n
+    array in row-major order.  Immutable, so arrays of one shape share
+    them; the oracles built around them are never shared."""
+    col_of = tuple(c for _ in range(m) for c in range(n))
+    family = tuple(frozenset(range(i * n, (i + 1) * n)) for i in range(m))
+    return col_of, family
+
+
 def encode_array(rows, value_matroid=None):
     """Encode an array as a rainbow instance: cells are the ground set, one
     family set per row, a capacity-one column partition on one side, and the
@@ -96,7 +107,7 @@ def encode_array(rows, value_matroid=None):
             )
         if len(set(row)) != n:
             raise PreconditionError(f"row {idx} repeats a value")
-    col_of = [c for _ in rows for c in range(n)]
+    col_of, family = _array_cells(len(rows), n)
     m_oracle = PartitionMatroid(col_of, [1] * n)
     values = [v for row in rows for v in row]
     if value_matroid is None:
@@ -111,8 +122,6 @@ def encode_array(rows, value_matroid=None):
                     f"row {idx} is dependent in the value matroid"
                 )
         n_oracle = ParallelLiftMatroid(values, value_matroid)
-    family = tuple(frozenset(range(i * n, (i + 1) * n))
-                   for i in range(len(rows)))
     return RainbowInstance(m_oracle, n_oracle, family, n)
 
 

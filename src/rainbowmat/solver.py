@@ -11,12 +11,14 @@ so each round reaches a new R-element or augments, and a sweep uses at
 most |R| + 1 <= n fresh sets.  On 2n - 1 sets a stall raises
 ``TheoremViolationError``; cat search and brute force serve smaller ones.
 
-R stays fixed for a whole sweep, so span_N(R) is computed once per sweep
-and kept in its ``SweepState``; the other spans a round uses depend on the
-reachable set and are computed per round.  ``validate_trail``, called by
-``apply_trail`` on every trail it applies, is the one trail check.  It
-computes no span: for independent R and x outside R, x lies in span_N(R)
-exactly when R + x is N-dependent, one predicate call.
+No span of R itself is ever computed.  R is independent in both matroids,
+and for x outside R, x lies in span(R) exactly when R + x is dependent: one
+predicate call, where a full span costs one per ground element.  The sweep
+asks this only of candidates and witness additions, which lie outside R.
+The two spans a round filters with, span_M(R - reachable) and
+span_N(reachable), depend on the reachable set and are computed per round.
+``validate_trail``, called by ``apply_trail`` on every trail it applies, is
+the one trail check, and it uses the same test.
 """
 
 from __future__ import annotations
@@ -130,8 +132,7 @@ class Trail:
 @dataclass
 class SweepState:
     """Per-sweep bookkeeping: reachable R-elements, one witness trail per
-    reachable element, the family indices not yet processed, and span_N(R),
-    filled in by the first ``sweep_round``.
+    reachable element, and the family indices not yet processed.
 
     A state belongs to one sweep over one R: pass every round the same
     assignment, and start a new state after an augmentation."""
@@ -139,7 +140,6 @@ class SweepState:
     reachable: set = field(default_factory=set)
     witness: dict = field(default_factory=dict)
     fresh: list = field(default_factory=list)
-    span_n_r: frozenset | None = None
 
 
 @dataclass(frozen=True)
@@ -326,13 +326,16 @@ def _check_witnesses(state):
             raise PreconditionError(f"reachable element {x} has no witness")
 
 
-def _candidate_branch(instance, state, k, a, r_set, span_m_r):
+def _candidate_branch(instance, state, k, a, r_set):
     """The sweep result for candidate a of fresh set k, which lies outside
     span_M(R - reachable) and span_N(reachable): so its N-circuit has an
-    unreachable element and its M-circuit meets the reachable set."""
+    unreachable element and its M-circuit meets the reachable set.
+
+    a and every witness addition lie outside R, so each membership in a
+    span of R is one predicate call on R plus that element."""
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
     prefix = ()
-    if a in span_m_r:
+    if not m_oracle.is_independent(r_set | {a}):
         # a is spanned by R in M: rewind through an existing witness.
         c_m = m_oracle.fundamental_circuit(r_set, a)
         prefix = _rewind_prefix(state.witness[min(c_m & state.reachable)],
@@ -347,12 +350,12 @@ def _candidate_branch(instance, state, k, a, r_set, span_m_r):
             raise TheoremViolationError(
                 f"the M-circuit of {a} drifted during the rewind")
 
-    if a not in state.span_n_r:
+    if n_oracle.is_independent(r_set | {a}):
         return Augment(Trail(prefix + (TrailStep(k, a, None),), True))
 
     r_new = min(n_oracle.fundamental_circuit(r_set, a) - state.reachable)
     for pos, step in enumerate(prefix):
-        if step.added not in state.span_n_r:
+        if n_oracle.is_independent(r_set | {step.added}):
             raise TheoremViolationError(
                 f"witness addition {step.added} lies outside span_N(R)")
         if r_new in n_oracle.fundamental_circuit(r_set, step.added):
@@ -374,16 +377,12 @@ def sweep_round(instance, assignment, state):
     _check_witnesses(state)
     k = state.fresh.pop(0)
     r_set = assignment.range_set()
-    m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
-    span_m_rest = m_oracle.span(r_set - state.reachable)
-    span_n_reach = n_oracle.span(state.reachable)
-    span_m_r = m_oracle.span(r_set)
-    if state.span_n_r is None:
-        state.span_n_r = n_oracle.span(r_set)
+    span_m_rest = instance.m_oracle.span(r_set - state.reachable)
+    span_n_reach = instance.n_oracle.span(state.reachable)
 
     for a in sorted(instance.family[k] - r_set):
         if a not in span_m_rest and a not in span_n_reach:
-            return _candidate_branch(instance, state, k, a, r_set, span_m_r)
+            return _candidate_branch(instance, state, k, a, r_set)
     return Stalled(f"no usable candidate in set {k}")
 
 

@@ -297,6 +297,20 @@ class TestCli:
         assert err.startswith(f"error: {path}: not a text file")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["stress", "--species", "uniform,partition", "--n", "2", "--m", "3",
+         "--count"],
+        ["selftest", "--cases"]], ids=["stress", "selftest"])
+    @pytest.mark.parametrize("count", ["-1", "x"])
+    def test_invalid_count_rejected(self, command, count, capsys):
+        # stress writes its report to standard output without --out.
+        assert main(command + [count]) == 1
+        captured = capsys.readouterr()
+        assert (f"error: argument {command[-1]}: expected a nonnegative "
+                f"integer, got '{count}'") in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_verify_agreement(self, tmp_path, capsys):
         src = tmp_path / "inst.json"
         src.write_text(dumps_doc(SAMPLE))

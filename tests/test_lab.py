@@ -118,6 +118,20 @@ class TestEncodeArray:
         with pytest.raises(PreconditionError, match="row 0"):
             encode_array([(0, 1, 2)], values)
 
+    def test_arrays_of_one_shape_share_cells_not_oracles(self):
+        a = encode_array([(1, 2, 3), (2, 3, 1)])
+        b = encode_array([(3, 1, 2), (1, 2, 3)])
+        other = encode_array([(1, 2, 3), (2, 3, 1), (3, 1, 2)])
+        assert all(x is y for x, y in zip(a.family, b.family))
+        assert a.m_oracle.block_of is b.m_oracle.block_of
+        assert not any(x is y for x, y in zip(a.family, other.family))
+        assert a.m_oracle.block_of is not other.m_oracle.block_of
+        assert a.m_oracle is not b.m_oracle
+        assert a.n_oracle is not b.n_oracle
+        solve(a)
+        assert sum(a.oracle_calls().values()) > 0
+        assert b.oracle_calls() == {"M": 0, "N": 0}
+
 
 def values_of(instance):
     return instance.n_oracle.value_of

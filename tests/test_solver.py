@@ -5,7 +5,8 @@ import itertools
 import json
 import random
 import re
-from dataclasses import replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from rainbowmat import (
 )
 from rainbowmat.lab import drisko_instance, random_instance, random_row_latin
 from rainbowmat.solver import _sweep_for_augmenting_trail
+from test_properties import stuck_states
 
 
 @pytest.fixture
@@ -204,6 +206,27 @@ class TestSweepRound:
         with pytest.raises(TheoremViolationError, match="removes no element"):
             sweep_round(cell_instance, r, state)
 
+    def test_truncate_and_swap_branch(self):
+        # From the greedy seed the k = 3 round reaches 1 through the step
+        # (3, 4, 1).  The k = 4 candidate rewinds that witness, and the
+        # N-circuit of its addition 4 holds the unreachable 2: the round
+        # cuts the trail there and removes 2 in place of 1.
+        inst = random_instance("linear", "linear", 4, 7, 950, ground_size=7)
+        r = greedy_seed(inst)
+        assert r.choices == {0: 1, 1: 2, 2: 3}
+        state = SweepState(fresh=[3, 4, 5, 6])
+        first = sweep_round(inst, r, state)
+        assert first == NewReachable(1, Trail((TrailStep(3, 4, 1),), False))
+        state.reachable.add(1)
+        state.witness[1] = first.trail
+        out = sweep_round(inst, r, state)
+        assert out == NewReachable(2, Trail((TrailStep(3, 4, 2),), False))
+        assert validate_trail(inst, r, out.trail)
+        trail, reason = _sweep_for_augmenting_trail(inst, r)
+        assert reason is None and trail.augmenting
+        assert apply_trail(inst, r, trail).size() == 4
+        assert solve(inst).assignment.choices == {1: 2, 2: 3, 3: 4, 6: 6}
+
 
 class TestCloseRound:
     def test_witness_extension(self, cell_instance):
@@ -351,6 +374,113 @@ def reference_validate_trail(instance, assignment, trail):
         if step.added not in span_n_r:
             return False
     return True
+
+
+@dataclass
+class SpanSweepState(SweepState):
+    """A sweep state that also keeps span_N(R), filled in by the first
+    reference round of its sweep."""
+
+    span_n_r: frozenset | None = None
+
+
+def reference_sweep_round(instance, assignment, state):
+    """The round with the spans of R computed in full, span_M(R) in every
+    round and span_N(R) once per sweep, and each membership looked up."""
+    if assignment.size() >= instance.n:
+        raise PreconditionError("assignment already reached the target size")
+    if not state.fresh:
+        raise PreconditionError("no fresh set left to process")
+    solver._check_witnesses(state)
+    k = state.fresh.pop(0)
+    r_set = assignment.range_set()
+    m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
+    span_m_rest = m_oracle.span(r_set - state.reachable)
+    span_n_reach = n_oracle.span(state.reachable)
+    span_m_r = m_oracle.span(r_set)
+    if state.span_n_r is None:
+        state.span_n_r = n_oracle.span(r_set)
+    a = next((a for a in sorted(instance.family[k] - r_set)
+              if a not in span_m_rest and a not in span_n_reach), None)
+    if a is None:
+        return Stalled(f"no usable candidate in set {k}")
+
+    prefix = ()
+    if a in span_m_r:
+        c_m = m_oracle.fundamental_circuit(r_set, a)
+        prefix = solver._rewind_prefix(
+            state.witness[min(c_m & state.reachable)], c_m)
+        applied = solver._applied_keep_last(r_set, prefix)
+        if a in applied or not m_oracle.is_independent(applied):
+            raise TheoremViolationError(
+                f"the rewound witness for {a} contains it or is M-dependent")
+        if m_oracle.fundamental_circuit(applied, a) != c_m:
+            raise TheoremViolationError(
+                f"the M-circuit of {a} drifted during the rewind")
+    if a not in state.span_n_r:
+        return Augment(Trail(prefix + (TrailStep(k, a, None),), True))
+    r_new = min(n_oracle.fundamental_circuit(r_set, a) - state.reachable)
+    for pos, step in enumerate(prefix):
+        if step.added not in state.span_n_r:
+            raise TheoremViolationError(
+                f"witness addition {step.added} lies outside span_N(R)")
+        if r_new in n_oracle.fundamental_circuit(r_set, step.added):
+            steps = prefix[:pos] + (TrailStep(step.source, step.added, r_new),)
+            return NewReachable(r_new, Trail(steps, False))
+    return NewReachable(r_new, Trail(prefix + (TrailStep(k, a, r_new),), False))
+
+
+def test_sweep_round_matches_the_span_reference(monkeypatch):
+    # Every sweep round from the stuck states of guaranteed and narrow
+    # random instances and row-Latin arrays, against the reference on a
+    # copy of the same state: the same result, the same fresh sets left,
+    # and never more predicate calls.  The instances of the truncate and
+    # swap test and of its graphic sibling are in the census too.
+    real, mirror, kinds = solver.sweep_round, [None, None], Counter()
+
+    def predicate_calls(instance):
+        return sum(instance.oracle_calls().values())
+
+    def checked(instance, assignment, state):
+        if mirror[0] is not state:
+            mirror[:] = [state, SpanSweepState()]
+        ref = mirror[1]
+        ref.reachable, ref.witness = set(state.reachable), dict(state.witness)
+        ref.fresh = list(state.fresh)
+        k = state.fresh[0]
+        before = predicate_calls(instance)
+        want = reference_sweep_round(instance, assignment, ref)
+        middle = predicate_calls(instance)
+        got = real(instance, assignment, state)
+        assert got == want and state.fresh == ref.fresh, (got, want)
+        assert predicate_calls(instance) - middle <= middle - before, got
+        if isinstance(got, NewReachable) and got.trail.steps[-1].source != k:
+            kinds["truncated"] += 1
+        else:
+            kinds[type(got).__name__] += 1
+        return got
+
+    monkeypatch.setattr(solver, "sweep_round", checked)
+    pairs = (("uniform", "partition"), ("partition", "partition"),
+             ("partition", "graphic"), ("graphic", "graphic"),
+             ("graphic", "linear"), ("linear", "linear"))
+    rng = random.Random(12)
+    instances = [random_instance(a, b, n, m, seed, ground_size=n + 3)
+                 for a, b in pairs for n in (3, 4)
+                 for m in range(n, 2 * n) for seed in range(3)]
+    instances += [encode_array(random_row_latin(n, m, rng))
+                  for n in (3, 4, 5) for m in range(n, 2 * n)
+                  for _ in range(2)]
+    instances += [random_instance("linear", "linear", 4, 7, 950,
+                                  ground_size=7),
+                  random_instance("graphic", "graphic", 4, 6, 457,
+                                  ground_size=8)]
+    for inst in instances:
+        for assignment in stuck_states(inst, cap=30):
+            _sweep_for_augmenting_trail(inst, assignment)
+    print(f"\n{dict(kinds)}")
+    assert kinds["truncated"] >= 10 and kinds["Augment"] >= 300
+    assert kinds["NewReachable"] >= 1500
 
 
 #: The structural errors of a trail, one pattern per kind of message.
@@ -515,10 +645,12 @@ def test_validate_trail_matches_the_span_reference(sweep_rounds):
 def test_drisko_flip_predicate_calls_bounded():
     # The primary metric on the flip path: every independence test made
     # encoding and solving the 120 single-row extensions of
-    # drisko_instance(5).  68928 is the count with the sweep rounds
-    # returning their first candidate unchecked; checking every round's
-    # trail with validate_trail made 73200, and computing span_N(R) in
-    # every sweep round and in every trail check made 110064.
+    # drisko_instance(5).  48672 is the count with the sweep testing
+    # membership in span_M(R) and span_N(R) by one predicate call each;
+    # computing span_M(R) per round and span_N(R) per sweep made 68928,
+    # checking every round's trail with validate_trail as well made 73200,
+    # and computing span_N(R) in every sweep round and in every trail
+    # check made 110064.
     n = 5
     rows = ([tuple(range(1, n + 1))] * (n - 1)
             + [tuple(range(2, n + 1)) + (1,)] * (n - 1))
@@ -527,7 +659,7 @@ def test_drisko_flip_predicate_calls_bounded():
         instance = encode_array(rows + [perm])
         assert solve(instance).status == "solved"
         total += sum(instance.oracle_calls().values())
-    assert total <= 68928
+    assert total <= 48672
 
 
 def pinned_inputs():
