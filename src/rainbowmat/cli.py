@@ -140,8 +140,8 @@ def _cmd_stress(args):
         report = verify_instance(instance)
         if not report.agree:
             disagreements += 1
-        lines.append(report.to_json_line())
-    _write(args.out, "\n".join(lines) + "\n")
+        lines.append(report.to_json_line() + "\n")
+    _write(args.out, "".join(lines))
     print(f"stress: {args.count} instances, {disagreements} disagreements",
           file=sys.stderr)
     return EXIT_OK if disagreements == 0 else EXIT_ERROR

@@ -139,37 +139,71 @@ def drisko_instance(n):
 
 def brute_force_rainbow(instance, target):
     """Depth-first search for a rainbow common independent set of the given
-    size; first hit in scan order, or None when the space is exhausted."""
+    size; first hit in scan order, or None when the space is exhausted.
+
+    The search checks forward.  For each family set not yet decided it
+    carries the set's addable elements: those outside the used set whose
+    addition keeps it independent in both matroids.  Picking an element
+    re-tests only the elements still listed, since an element dependent on
+    the used set stays dependent on every superset; a set's own candidates
+    are its list, tested already.  A branch is cut when fewer undecided
+    sets than elements still needed have a non-empty list.  Only failing
+    candidates and branches that cannot reach the target are dropped, in
+    the plain scan order, so the first hit and every None are the plain
+    search's."""
     if target < 0 or target > instance.n:
         raise PreconditionError("target must lie between 0 and n")
     if target == 0:
         return RainbowAssignment({})
-    family = [sorted(a) for a in instance.family]
-    m_count = len(family)
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
     choices = {}
-    used = set()
 
-    def dfs(idx):
-        if len(choices) == target:
+    def narrowed(used, lists, need):
+        # Each list cut to the elements still addable to used, each distinct
+        # element tested once; None as soon as fewer than need lists can
+        # stay non-empty.
+        addable = {}
+        open_lists = sum(1 for listed in lists if listed)
+        out = []
+        for listed in lists:
+            kept = []
+            for x in listed:
+                if x in used:
+                    continue
+                if x not in addable:
+                    grown = used | {x}
+                    addable[x] = (m_oracle.is_independent(grown)
+                                  and n_oracle.is_independent(grown))
+                if addable[x]:
+                    kept.append(x)
+            if listed and not kept:
+                open_lists -= 1
+                if open_lists < need:
+                    return None
+            out.append(kept)
+        return out
+
+    def dfs(idx, used, lists):
+        # lists[k] holds the addable elements of family set idx + k.
+        need = target - len(choices)
+        if need == 0:
             return True
-        if idx == m_count or len(choices) + (m_count - idx) < target:
+        if sum(1 for listed in lists if listed) < need:
             return False
-        for a in family[idx]:
-            if a in used:
+        for a in lists[0]:
+            grown = used | {a}
+            later = narrowed(grown, lists[1:], need - 1)
+            if later is None:
                 continue
-            candidate = frozenset(used | {a})
-            if (m_oracle.is_independent(candidate)
-                    and n_oracle.is_independent(candidate)):
-                choices[idx] = a
-                used.add(a)
-                if dfs(idx + 1):
-                    return True
-                del choices[idx]
-                used.discard(a)
-        return dfs(idx + 1)
+            choices[idx] = a
+            if dfs(idx + 1, grown, later):
+                return True
+            del choices[idx]
+        return dfs(idx + 1, used, lists[1:])
 
-    if dfs(0):
+    empty = frozenset()
+    lists = narrowed(empty, [sorted(a) for a in instance.family], target)
+    if lists is not None and dfs(0, empty, lists):
         return RainbowAssignment(dict(choices))
     return None
 

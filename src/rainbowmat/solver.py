@@ -332,7 +332,23 @@ def _candidate_branch(instance, state, k, a, r_set):
     unreachable element and its M-circuit meets the reachable set.
 
     a and every witness addition lie outside R, so each membership in a
-    span of R is one predicate call on R plus that element."""
+    span of R is one predicate call on R plus that element.
+
+    Why the trail is cut when a witness addition's N-circuit holds r_new:
+    let the rewound prefix add y_1..y_p and remove x_1..x_p, all x_i
+    reachable, so r_new is none of them.  Each y_i lies in span_N(R), and
+    each applied prefix keeps span_N(R).  The circuit-transfer lemma (the
+    one ``lab.check_lemma3`` checks) says that r_new stays in the
+    N-circuit of the next addition y after the first j steps, provided
+    r_new lies in C_N(R, y) and in no C_N(R, y_i) with i <= j.  Then
+    removing r_new right after adding y keeps the set N-independent with
+    the same span.  With no y_i's circuit holding r_new, the lemma holds
+    for y = a, and the full prefix plus (k, a, r_new) is a trail.
+    Otherwise, at the first y_j whose circuit holds r_new, it holds for
+    y = y_j after j - 1 steps.  So step j, with its removal swapped for
+    r_new, ends a trail that removes r_new; its M side is the witness's.
+    Past step j the lemma no longer applies, and r_new may have left the
+    N-circuit of a."""
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
     prefix = ()
     if not m_oracle.is_independent(r_set | {a}):

@@ -327,6 +327,15 @@ class TestCli:
         assert len(lines) == 4
         assert all(json.loads(line)["agree"] for line in lines)
 
+    def test_stress_zero_count_writes_an_empty_report(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "stress.jsonl"
+        assert main(["stress", "--species", "uniform,partition",
+                     "--n", "2", "--m", "3", "--count", "0",
+                     "--seed", "1", "--out", str(path)]) == 0
+        assert path.read_text() == ""
+        assert "0 instances, 0 disagreements" in capsys.readouterr().err
+
     def test_selftest_small(self, capsys):
         assert main(["selftest", "--cases", "20", "--seed", "2"]) == 0
         out = capsys.readouterr().out

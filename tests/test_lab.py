@@ -4,7 +4,7 @@ hypothesis checker."""
 import hashlib
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -13,6 +13,7 @@ from rainbowmat import (
     LatinArray,
     PartitionMatroid,
     PreconditionError,
+    RainbowAssignment,
     RainbowInstance,
     UniformMatroid,
     brute_force_rainbow,
@@ -47,6 +48,81 @@ def brute_max_common(m1, m2):
     return 0
 
 
+def reference_brute_force_rainbow(instance, target):
+    """The plain depth-first search: every candidate is tested against the
+    used set when the search reaches it, and a branch is cut only when too
+    few family sets remain."""
+    if target < 0 or target > instance.n:
+        raise PreconditionError("target must lie between 0 and n")
+    if target == 0:
+        return RainbowAssignment({})
+    family = [sorted(a) for a in instance.family]
+    m_count = len(family)
+    m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
+    choices = {}
+    used = set()
+
+    def dfs(idx):
+        if len(choices) == target:
+            return True
+        if idx == m_count or len(choices) + (m_count - idx) < target:
+            return False
+        for a in family[idx]:
+            if a in used:
+                continue
+            candidate = frozenset(used | {a})
+            if (m_oracle.is_independent(candidate)
+                    and n_oracle.is_independent(candidate)):
+                choices[idx] = a
+                used.add(a)
+                if dfs(idx + 1):
+                    return True
+                del choices[idx]
+                used.discard(a)
+        return dfs(idx + 1)
+
+    if dfs(0):
+        return RainbowAssignment(dict(choices))
+    return None
+
+
+def relabelled_drisko(n, rng):
+    """drisko_instance(n) with its rows, columns and symbols shuffled."""
+    rows = ([list(range(1, n + 1))] * (n - 1)
+            + [list(range(2, n + 1)) + [1]] * (n - 1))
+    rng.shuffle(rows)
+    cols = rng.sample(range(n), n)
+    symbol = rng.sample(range(1, n + 1), n)
+    return encode_array([[symbol[row[c] - 1] for c in cols] for row in rows])
+
+
+def narrow_search_cases():
+    """Families of fewer than 2n - 1 sets: random species pairs at n = 2..4,
+    m = n..2n - 2, relabelled Drisko families at n = 3..5, and row-Latin
+    arrays at n = 2..5, m = n..2n - 2."""
+    for species_m in SPECIES:
+        for species_n in SPECIES:
+            for n in (2, 3, 4):
+                for m in range(n, 2 * n - 1):
+                    yield random_instance(species_m, species_n, n, m,
+                                          seed=13 * n + m)
+    rng = random.Random(23)
+    for n in (3, 4, 5):
+        for _ in range(3):
+            yield relabelled_drisko(n, rng)
+    for n in (2, 3, 4, 5):
+        for m in range(n, 2 * n - 1):
+            for _ in range(4):
+                yield encode_array(random_row_latin(n, m, rng).rows)
+
+
+def search_calls(instance, search, target):
+    """The answer of one search and the independence calls it made."""
+    before = sum(instance.oracle_calls().values())
+    out = search(instance, target)
+    return out, sum(instance.oracle_calls().values()) - before
+
+
 class TestBruteForce:
     def test_drisko_two_not_found(self):
         assert brute_force_rainbow(drisko_instance(2), 2) is None
@@ -61,6 +137,33 @@ class TestBruteForce:
     def test_target_zero(self):
         out = brute_force_rainbow(drisko_instance(2), 0)
         assert out.choices == {}
+
+    def test_same_answers_as_the_plain_search(self):
+        # Forward checking drops only failing candidates and dead
+        # branches: the same first hit or the same None at every target,
+        # and fewer calls over the searches that find nothing.
+        searches, misses = 0, Counter()
+        for inst in narrow_search_cases():
+            for target in range(inst.n + 1):
+                want, plain = search_calls(
+                    inst, reference_brute_force_rainbow, target)
+                got, forward = search_calls(inst, brute_force_rainbow,
+                                            target)
+                assert got == want, (inst.digest(), target)
+                if want is None:
+                    misses["plain"] += plain
+                    misses["forward"] += forward
+                searches += 1
+        assert searches >= 300
+        assert misses["forward"] < misses["plain"]
+
+    def test_drisko_six_proof_calls_bounded(self):
+        # The certificate that drisko_instance(6) has no rainbow 6-set.
+        # 157554 is the count with forward checking; the plain search
+        # makes 397890.
+        inst = drisko_instance(6)
+        assert brute_force_rainbow(inst, 6) is None
+        assert sum(inst.oracle_calls().values()) <= 157554
 
 
 class TestDrisko:

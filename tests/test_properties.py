@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from rainbowmat import (
+    Augment,
     RainbowAssignment,
     Stalled,
     apply_trail,
@@ -16,6 +17,7 @@ from rainbowmat import (
     solve,
     validate_trail,
 )
+from rainbowmat import solver
 from rainbowmat.harness import run_all
 from rainbowmat.lab import SPECIES, random_oracle, random_row_latin
 from rainbowmat.solver import _sweep_for_augmenting_trail
@@ -245,3 +247,66 @@ class TestStuckStateCensus:
                                 "no fresh set left for the closing round"}
         assert kinds["NewReachable"] >= 2000 and kinds["Augment"] >= 500
         assert max(lengths) >= 4
+
+    def test_every_round_branch_is_reached(self, monkeypatch):
+        # Each return of _candidate_branch and close_round, named by the
+        # trail it builds.  Stuck states rewind witnesses, and at n = 4 on
+        # grounds n + 2..n + 5 some witness addition holds the new
+        # element in its N-circuit (the truncate-and-swap return).  A
+        # stuck state admits no direct addition, so each is also swept
+        # with one pick dropped, which reaches the two returns without a
+        # rewind.
+        branches = Counter()
+
+        def recorded(name, real):
+            def round_(instance, assignment, state, *args):
+                k = args[0] if args else state.fresh[0]
+                result = real(instance, assignment, state, *args)
+                branches[round_branch(name, k, result)] += 1
+                return result
+            return round_
+
+        for name in ("sweep_round", "close_round"):
+            monkeypatch.setattr(solver, name,
+                                recorded(name, getattr(solver, name)))
+        n = 4
+        for species_m in ("graphic", "linear"):
+            for species_n in ("graphic", "linear"):
+                for ground in range(n + 2, n + 6):
+                    for seed in range(8):
+                        inst = random_instance(species_m, species_n, n,
+                                               2 * n - 1, seed,
+                                               ground_size=ground)
+                        for stuck in stuck_states(inst, cap=30):
+                            for assignment in [stuck] + dropped_one(stuck):
+                                trail, reason = _sweep_for_augmenting_trail(
+                                    inst, assignment)
+                                assert trail is not None, (inst.digest(),
+                                                           reason)
+                                apply_trail(inst, assignment, trail)
+        print(f"\n{dict(branches)}")
+        assert set(branches) == {
+            "augment", "augment after rewind", "new reachable",
+            "new reachable after rewind", "truncate and swap",
+            "close", "close after rewind"}
+
+
+def dropped_one(assignment):
+    """The assignment with each one of its picks left out."""
+    return [RainbowAssignment({k: x for k, x in assignment.choices.items()
+                               if k != drop})
+            for drop in sorted(assignment.choices)]
+
+
+def round_branch(name, k, result):
+    """Which return of the round for fresh set k built this result."""
+    steps = result.trail.steps
+    rewound = " after rewind" if len(steps) > 1 else ""
+    if name == "close_round":
+        return "close" + rewound
+    if isinstance(result, Augment):
+        return "augment" + rewound
+    if steps[-1].source != k:
+        # A full trail ends with set k; a truncated one with a witness step.
+        return "truncate and swap"
+    return "new reachable" + rewound
