@@ -1,6 +1,8 @@
 """Oracle species, derived operations, and their preconditions."""
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +28,70 @@ def brute_circuits(oracle, pool):
             if oracle.is_circuit(frozenset(combo)):
                 out.append(frozenset(combo))
     return out
+
+
+def reference_graphic_independent(oracle, s):
+    """Reference graphic predicate: a union-find that seeds each endpoint
+    with ``setdefault`` and finds roots with a nested function."""
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x in s:
+        u, v = oracle.edges[x]
+        if u == v:
+            return False  # loop edge
+        parent.setdefault(u, u)
+        parent.setdefault(v, v)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def reference_linear_independent(oracle, s):
+    """Reference linear predicate: a full Gauss-Jordan pass on copies of
+    every column of s, then a rank comparison."""
+    cols = [list(oracle.columns[x]) for x in s]
+    return matroids.gfp_reduce(cols, oracle.prime) == len(cols)
+
+
+PRIMES = (2, 3, 5, 7, matroids.MAX_PRIME)
+
+
+def random_graphic(rng):
+    """Up to 8 edges on 1..5 vertices; loops and parallel edges are common."""
+    vertices = rng.randint(1, 5)
+    return GraphicMatroid(vertices, [
+        (rng.randrange(vertices), rng.randrange(vertices))
+        for _ in range(rng.randint(0, 8))])
+
+
+def random_linear(rng):
+    """Up to 8 columns of dimension 0..4, each a random combination of a few
+    random vectors (so dependences occur over every prime), or zero."""
+    prime = rng.choice(PRIMES)
+    dim = rng.randint(0, 4)
+    gens = [[rng.randrange(prime) for _ in range(dim)]
+            for _ in range(rng.randint(0, dim))]
+    columns = []
+    for _ in range(rng.randint(0, 8)):
+        coeffs = [rng.randrange(prime) for _ in gens]
+        if rng.random() < 0.15:
+            coeffs = [0] * len(gens)
+        columns.append([sum(c * g[r] for c, g in zip(coeffs, gens)) % prime
+                        for r in range(dim)])
+    return LinearMatroid(prime, columns)
+
+
+def all_subsets(ground_size):
+    return (frozenset(combo) for size in range(ground_size + 1)
+            for combo in itertools.combinations(range(ground_size), size))
 
 
 @pytest.fixture
@@ -230,3 +296,73 @@ class TestParallelLift:
     def test_rejects_bad_value(self):
         with pytest.raises(MatroidSpecError, match="base ground set"):
             ParallelLiftMatroid([5], UniformMatroid(1, 2))
+
+
+class TestKernels:
+    """The graphic and linear predicates are kernels below the call counter;
+    each must agree with the reference it replaced on every subset."""
+
+    GRAPHIC_CASES = [
+        GraphicMatroid(0, []),
+        GraphicMatroid(1, [(0, 0)]),
+        GraphicMatroid(2, [(0, 1), (1, 0), (0, 1), (1, 1)]),
+        GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 2)]),
+    ]
+    LINEAR_CASES = [
+        LinearMatroid(2, []),
+        LinearMatroid(3, [(), (), ()]),
+        LinearMatroid(5, [(0, 0), (1, 2), (2, 4), (0, 3), (0, 0)]),
+        LinearMatroid(7, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (6, 6, 0),
+                          (0, 0, 3), (2, 5, 1)]),
+        LinearMatroid(matroids.MAX_PRIME,
+                      [(1, 2), (2, 4), (matroids.MAX_PRIME - 1, 5), (0, 0)]),
+    ]
+
+    @staticmethod
+    def assert_agrees(oracle, reference):
+        for s in all_subsets(oracle.ground_size):
+            assert oracle._independent(s) == reference(oracle, s), (
+                oracle.describe(), sorted(s))
+
+    @pytest.mark.parametrize("oracle", GRAPHIC_CASES,
+                             ids=lambda m: str(m.edges))
+    def test_graphic_named_cases(self, oracle):
+        self.assert_agrees(oracle, reference_graphic_independent)
+
+    @pytest.mark.parametrize("oracle", LINEAR_CASES,
+                             ids=lambda m: f"p{m.prime}-d{m.dimension}")
+    def test_linear_named_cases(self, oracle):
+        self.assert_agrees(oracle, reference_linear_independent)
+
+    def test_graphic_random_oracles(self):
+        rng = random.Random(20140)
+        for _ in range(150):
+            self.assert_agrees(random_graphic(rng),
+                               reference_graphic_independent)
+
+    def test_linear_random_oracles(self):
+        rng = random.Random(20141)
+        seen = set()
+        for _ in range(150):
+            oracle = random_linear(rng)
+            seen.add(oracle.prime)
+            self.assert_agrees(oracle, reference_linear_independent)
+        assert seen == set(PRIMES)
+
+    def test_graphic_allocates_nothing_per_vertex(self):
+        # A per-vertex table (a ``list(range(V))`` union-find) would take
+        # megabytes here; a call touching three edges must stay small.
+        big = 10**6
+        oracle = GraphicMatroid(big, [(0, big - 1), (big - 1, big // 2),
+                                      (big // 2, 0)])
+        sets = [frozenset(c) for k in (2, 3)
+                for c in itertools.combinations(range(3), k)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            answers = [oracle._independent(s) for s in sets]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answers == [True, True, True, False]
+        assert peak < 64 * 1024
