@@ -54,14 +54,11 @@ def _random_circuit(oracle, rng):
         return None
     shrink = list(current)
     rng.shuffle(shrink)
-    changed = True
-    while changed:
-        changed = False
-        for y in shrink:
-            if y in current and len(current) > 1 and \
-                    not oracle.is_independent(current - {y}):
-                current.discard(y)
-                changed = True
+    # One pass suffices: an element whose removal leaves the set independent
+    # leaves every smaller set independent too.
+    for y in shrink:
+        if not oracle.is_independent(current - {y}):
+            current.discard(y)
     return frozenset(current)
 
 
@@ -77,15 +74,16 @@ def _enumerate_circuits(oracle, pool):
     return found
 
 
-def run_fact1_harness(species, cases, seed, ground_size=8, max_base=5):
+def run_fact1_harness(species, cases, seed):
     """Fundamental circuit: uniqueness inside I + x (exhaustive subset scan)
-    and span preservation for every exchangeable element."""
+    and span preservation for every exchangeable element, on oracles of 8
+    elements and I of at most 5."""
     rng = random.Random(seed)
     result = HarnessResult("fundamental-circuit", species, 0)
     while result.accepted < cases:
-        oracle = random_oracle(species, ground_size, 1, rng)
+        oracle = random_oracle(species, 8, 1, rng)
         for _ in range(4):
-            i = _random_independent(oracle, rng, max_base)
+            i = _random_independent(oracle, rng, 5)
             span_i = oracle.span(i)
             candidates = sorted(span_i - i)
             if not candidates:
@@ -110,15 +108,15 @@ def run_fact1_harness(species, cases, seed, ground_size=8, max_base=5):
     return result
 
 
-def run_fact2_harness(species, cases, seed, ground_size=10):
+def run_fact2_harness(species, cases, seed):
     """Augmentation: the returned elements come from J \\ I, number at least
-    |J| - |I|, and extend I independently."""
+    |J| - |I|, and extend I independently, on oracles of 10 elements."""
     rng = random.Random(seed)
     result = HarnessResult("augmentation", species, 0)
     while result.accepted < cases:
-        oracle = random_oracle(species, ground_size, 2, rng)
+        oracle = random_oracle(species, 10, 2, rng)
         for _ in range(4):
-            j = _random_independent(oracle, rng, ground_size)
+            j = _random_independent(oracle, rng, oracle.ground_size)
             if len(j) < 2:
                 continue
             i = _random_independent(oracle, rng, rng.randint(0, len(j) - 1))
@@ -138,13 +136,13 @@ def run_fact2_harness(species, cases, seed, ground_size=10):
     return result
 
 
-def run_fact3_harness(species, cases, seed, ground_size=9):
+def run_fact3_harness(species, cases, seed):
     """Circuit elimination: the witness is a circuit through f avoiding e,
-    inside the union of the two inputs."""
+    inside the union of the two inputs, on oracles of 9 elements."""
     rng = random.Random(seed)
     result = HarnessResult("circuit-elimination", species, 0)
     while result.accepted < cases:
-        oracle = random_oracle(species, ground_size, 1, rng)
+        oracle = random_oracle(species, 9, 1, rng)
         for _ in range(8):
             c1 = _random_circuit(oracle, rng)
             c2 = _random_circuit(oracle, rng)
@@ -197,15 +195,16 @@ def _build_swap(oracle, i, k, rng):
     return x_list, y_list
 
 
-def run_lemma3_harness(species, cases, seed, ground_size=8, max_base=5):
+def run_lemma3_harness(species, cases, seed):
     """Circuit transfer under a span-preserving swap: the conclusion must
-    hold on every hypothesis-satisfying input found."""
+    hold on every hypothesis-satisfying input found, on oracles of 8
+    elements and I of at most 5."""
     rng = random.Random(seed)
     result = HarnessResult("circuit-transfer", species, 0)
     while result.accepted < cases:
-        oracle = random_oracle(species, ground_size, 1, rng)
+        oracle = random_oracle(species, 8, 1, rng)
         for _ in range(6):
-            i = _random_independent(oracle, rng, max_base)
+            i = _random_independent(oracle, rng, 5)
             span_i = oracle.span(i)
             if not span_i - i:
                 continue

@@ -1,8 +1,11 @@
 """Verification machinery: brute-force search, instance generators, array
-encodings, and randomized harnesses for the oracle-level facts.
+encodings and the classical matroid-intersection algorithm.  The randomized
+harnesses for the oracle-level facts live in ``harness``.
 
-Everything here is independent of the sweep machinery in ``solver`` so the
-two can cross-check each other.
+The searches here use the oracles alone, not the sweep machinery in
+``solver``, so the two can cross-check each other: ``verify_instance`` runs
+``solve`` against ``max_rainbow``, and ``solve`` falls back on
+``max_rainbow`` for narrow families.
 
 ``max_common_independent`` keeps, across its augmentations, the elements it
 has found spanned by the current set in M1 (never again a source) and in M2
@@ -380,10 +383,15 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
     """Deterministically seeded instance with m common independent n-sets.
 
     Each family set is a maximum common independent set found under a random
-    preference order, truncated to n elements."""
+    preference order, truncated to n elements; by heredity it is common
+    independent, so the instance is valid as built."""
     if n < 1 or m < 1:
         raise PreconditionError("n and m must be positive")
     g = ground_size if ground_size is not None else 3 * n
+    if g < n:
+        raise GenerationError(
+            f"ground_size {g} is smaller than n = {n}: no set of {n} "
+            f"elements fits")
     rng = random.Random(seed)
     last_error = None
     for _ in range(50):
@@ -406,9 +414,7 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
                 break
             family.append(frozenset([x for x in order if x in full][:n]))
         else:
-            instance = RainbowInstance(m_oracle, n_oracle, tuple(family), n)
-            instance.validate()
-            return instance
+            return RainbowInstance(m_oracle, n_oracle, tuple(family), n)
         rng.setstate(state)
         last_error = GenerationError(
             f"common rank below {n} for {species_m} x {species_n}")
@@ -472,8 +478,8 @@ class VerificationReport:
 
 
 def verify_instance(instance):
-    """Run the solver and brute force at the same target and compare."""
-    instance.validate()
+    """Run the solver and brute force at the same target and compare;
+    ``solve`` validates the instance first."""
     calls_before = instance.oracle_calls()
     result = solve(instance)
     solver_size = result.assignment.size()

@@ -17,15 +17,16 @@ Each species' predicate ``_independent`` is a kernel below the call counter:
 changes no count and no answer.  The graphic kernel is a union-find over the
 endpoints a set touches, allocating nothing per vertex of the graph; the
 linear kernel inserts columns into a GF(p) basis and stops at the first zero
-residue.  On the sets a generate-and-solve run hands them, they cost about
-0.9-1.2 us per call (graphic, n = 3..7) and 3.0-6.0 us (linear, n = 3, 5),
-where the union-find and full Gauss-Jordan pass they replaced cost 2.2-2.8
-and 11-24 us (one 2-vCPU machine).  Those replaced predicates live in
-``tests/test_matroids.py`` as references, checked on every subset of
-random oracles.
+residue.
 
-Oracles are immutable after construction and all operations are pure
-functions of their inputs; instances may be shared freely across workers.
+Augmentation and circuit elimination each make one pass: an element
+dependent on a set stays dependent on every larger one, and an element
+needed for a circuit in a pool is needed in every smaller pool.
+
+An oracle's fields never change after construction, and every answer is a
+function of its inputs alone.  Its ``independence_calls`` counter does
+change with every predicate call, so an oracle shared between callers
+counts the calls of all of them.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ class MatroidSpecError(ValueError):
 
 class PreconditionError(ValueError):
     """Raised when an operation's precondition is violated."""
-
-
-#: When True, ``fundamental_circuit`` re-checks the circuit and span
-#: guarantees on every call.  Expensive; meant for verification runs.
-VERIFY_FACTS = False
 
 
 #: The largest field size ``LinearMatroid`` accepts: ``is_prime`` tests by
@@ -189,23 +185,9 @@ class MatroidOracle:
             raise PreconditionError("x must lie outside I")
         if not self.is_independent(i):
             raise PreconditionError("I is dependent")
-        plus = i | {x}
-        if self.is_independent(plus):
+        if self.is_independent(i | {x}):
             raise PreconditionError("I + x is independent; no circuit to extract")
-        circuit = self._circuit(i, x)
-        if VERIFY_FACTS:
-            if not self.is_circuit(circuit | {x}):
-                raise AssertionError(
-                    f"the circuit found for {x}, with {x}, is not a circuit")
-            span_i = self.span(i)
-            for a in circuit:
-                if not self.is_independent(plus - {a}):
-                    raise AssertionError(
-                        f"I + {x} - {a} is dependent for circuit member {a}")
-                if self.span(plus - {a}) != span_i:
-                    raise AssertionError(
-                        f"I + {x} - {a} does not span what I spans")
-        return circuit
+        return self._circuit(i, x)
 
     def _circuit(self, i, x):
         """Species hook of ``fundamental_circuit``: the circuit of x in the
@@ -218,7 +200,10 @@ class MatroidOracle:
 
     def augment_from(self, i, j):
         """Elements of j \\ i that extend i to an independent set of size |j|,
-        chosen by repeated single-element augmentation, lowest id first."""
+        chosen by repeated single-element augmentation, lowest id first.
+
+        One pass in id order suffices: an element dependent on the current
+        set stays dependent on every larger one."""
         i = frozenset(i)
         j = frozenset(j)
         if not self.is_independent(i):
@@ -228,16 +213,14 @@ class MatroidOracle:
         if len(i) >= len(j):
             raise PreconditionError("|I| must be smaller than |J|")
         current = set(i)
-        added = set()
-        for _ in range(len(j) - len(i)):
-            for x in sorted(j - current):
-                if self.is_independent(current | {x}):
-                    current.add(x)
-                    added.add(x)
-                    break
-            else:
-                raise AssertionError("augmentation property violated")
-        return frozenset(added)
+        for x in sorted(j - i):
+            if len(current) == len(j):
+                break
+            if self.is_independent(current | {x}):
+                current.add(x)
+        if len(current) < len(j):
+            raise AssertionError("augmentation property violated")
+        return frozenset(current - i)
 
     def is_circuit(self, s):
         s = frozenset(s)
@@ -267,15 +250,12 @@ class MatroidOracle:
         if f not in c1 or f in c2:
             raise PreconditionError("f must lie in C1 but not in C2")
         pool = set((c1 | c2) - {e})
-        # Shrink around f until every remaining element is needed for a
-        # circuit through f; at the fixpoint the pool itself is that circuit.
-        changed = True
-        while changed:
-            changed = False
-            for g in sorted(pool - {f}):
-                if self._lies_on_circuit(pool - {g}, f):
-                    pool.discard(g)
-                    changed = True
+        # Drop every element not needed for a circuit through f; then the
+        # pool itself is that circuit.  One pass suffices: an element needed
+        # in the pool is needed in every smaller pool.
+        for g in sorted(pool - {f}):
+            if self._lies_on_circuit(pool - {g}, f):
+                pool.discard(g)
         return frozenset(pool)
 
 

@@ -11,14 +11,16 @@ so each round reaches a new R-element or augments, and a sweep uses at
 most |R| + 1 <= n fresh sets.  On 2n - 1 sets a stall raises
 ``TheoremViolationError``; cat search and brute force serve smaller ones.
 
-No span of R itself is ever computed.  R is independent in both matroids,
-and for x outside R, x lies in span(R) exactly when R + x is dependent: one
-predicate call, where a full span costs one per ground element.  The sweep
-asks this only of candidates and witness additions, which lie outside R.
-The two spans a round filters with, span_M(R - reachable) and
-span_N(reachable), depend on the reachable set and are computed per round.
-``validate_trail``, called by ``apply_trail`` on every trail it applies, is
-the one trail check, and it uses the same test.
+No span of R itself is ever computed, by the sweep, the trail check or the
+cat search.  R is independent in both matroids, and for x outside R, x lies
+in span(R) exactly when R + x is dependent: one predicate call, where a
+full span costs one per ground element.  The sweep asks this only of
+candidates and witness additions, and the cat search of the additions it
+extends a trail with; all lie outside R.  The two spans a round filters
+with, span_M(R - reachable) and span_N(reachable), depend on the reachable
+set and are computed per round.  ``validate_trail``, called by
+``apply_trail`` on every trail it applies, is the one trail check, and it
+uses the same test.
 """
 
 from __future__ import annotations
@@ -434,7 +436,9 @@ def exhaustive_cat_search(instance, assignment):
     families of fewer than 2n - 1 sets only."""
     r_set = assignment.range_set()
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
-    span_n_r = n_oracle.span(r_set)
+    # Whether each addition a lies in span_N(R): R is N-independent and a
+    # lies outside it, so that is R + a being N-dependent.
+    in_span_n = {}
     free = sorted(set(range(len(instance.family))) - set(assignment.choices))
     max_len = len(r_set) + 1
     queue = deque([((), r_set, frozenset(), frozenset())])
@@ -451,7 +455,11 @@ def exhaustive_cat_search(instance, assignment):
                     continue
                 if n_oracle.is_independent(plus):
                     return Trail(steps + (TrailStep(k, a, None),), True)
-                if a not in span_n_r:
+                if a not in in_span_n:
+                    # At the root plus is R + a, just found N-dependent.
+                    in_span_n[a] = (not steps or
+                                    not n_oracle.is_independent(r_set | {a}))
+                if not in_span_n[a]:
                     continue  # no removal can restore span_N equality
                 for r in sorted(current & r_set):
                     nxt = plus - {r}

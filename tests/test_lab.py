@@ -261,6 +261,24 @@ class TestRandomInstance:
         with pytest.raises(GenerationError):
             random_instance("uniform", "uniform", 4, 2, seed=0, ground_size=3)
 
+    def test_ground_smaller_than_n_rejected_at_once(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("an oracle was drawn")
+
+        monkeypatch.setattr(lab, "random_oracle", no_draw)
+        with pytest.raises(GenerationError,
+                           match="ground_size 2 is smaller than n = 3"):
+            random_instance("uniform", "uniform", 3, 2, seed=0, ground_size=2)
+
+    def test_builds_without_validating(self, monkeypatch):
+        # Each family set is the first n elements of a common independent
+        # set, independent by heredity, so no check can fail.
+        calls = count_validations(monkeypatch)
+        inst = random_instance("graphic", "linear", 3, 5, seed=2)
+        assert calls == []
+        monkeypatch.undo()
+        inst.validate()
+
     def test_generated_documents_pinned(self):
         # Every family set comes out of max_common_independent, so a change
         # to circuits or to the augmenting-path search must leave these
@@ -527,7 +545,33 @@ class TestLemma3:
             check_lemma3(m, {0, 1}, [0], [2], 3, 1)
 
 
+def count_validations(monkeypatch):
+    """Record every ``RainbowInstance.validate`` call from here on."""
+    calls = []
+    real = RainbowInstance.validate
+
+    def counted(instance):
+        calls.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(RainbowInstance, "validate", counted)
+    return calls
+
+
 class TestVerifyInstance:
+    def test_validates_once(self, monkeypatch):
+        inst = random_instance("partition", "partition", 3, 5, seed=3)
+        calls = count_validations(monkeypatch)
+        assert verify_instance(inst).agree
+        assert calls == [inst]  # solve's own check
+
+    def test_invalid_instance_rejected(self):
+        m = UniformMatroid(1, 3)
+        inst = RainbowInstance(m, UniformMatroid(2, 3), ({0, 1}, {1, 2}), 2)
+        with pytest.raises(PreconditionError,
+                           match=r"family\[0\] is dependent in M"):
+            verify_instance(inst)
+
     def test_agreement_on_theorem_instance(self):
         inst = random_instance("partition", "partition", 3, 5, seed=3)
         report = verify_instance(inst)

@@ -17,6 +17,7 @@ from rainbowmat import (
     build_matroid,
 )
 from rainbowmat import matroids
+from rainbowmat.lab import SPECIES, random_oracle
 
 
 def brute_circuits(oracle, pool):
@@ -92,6 +93,38 @@ def random_linear(rng):
 def all_subsets(ground_size):
     return (frozenset(combo) for size in range(ground_size + 1)
             for combo in itertools.combinations(range(ground_size), size))
+
+
+def random_oracles(rng):
+    """Random oracles of the four drawn species on 7 elements, 50 each."""
+    for species in SPECIES:
+        for _ in range(50):
+            yield random_oracle(species, 7, 1, rng)
+
+
+def reference_augment_from(oracle, i, j):
+    """Reference augmentation: each round rescans J from the lowest id."""
+    current, added = set(i), set()
+    for _ in range(len(j) - len(i)):
+        x = next(x for x in sorted(j - current)
+                 if oracle.is_independent(current | {x}))
+        current.add(x)
+        added.add(x)
+    return frozenset(added)
+
+
+def reference_eliminate_circuit(oracle, c1, c2, e, f):
+    """Reference elimination: shrink around f until a whole pass removes
+    nothing."""
+    pool = set((c1 | c2) - {e})
+    changed = True
+    while changed:
+        changed = False
+        for g in sorted(pool - {f}):
+            if oracle._lies_on_circuit(pool - {g}, f):
+                pool.discard(g)
+                changed = True
+    return frozenset(pool)
 
 
 @pytest.fixture
@@ -219,14 +252,6 @@ class TestFundamentalCircuit:
         c = triangle.fundamental_circuit({0, 1}, 2)
         assert brute_circuits(triangle, {0, 1, 2}) == [c | {2}]
 
-    def test_verify_facts_rejects_bad_circuit(self, triangle, monkeypatch):
-        # The verification block raises explicitly, so it also runs under -O.
-        monkeypatch.setattr(matroids, "VERIFY_FACTS", True)
-        assert triangle.fundamental_circuit({0, 1}, 2) == {0, 1}
-        monkeypatch.setattr(triangle, "_circuit", lambda i, x: frozenset({0}))
-        with pytest.raises(AssertionError, match="not a circuit"):
-            triangle.fundamental_circuit({0, 1}, 2)
-
 
 class TestAugmentFrom:
     def test_uniform_lowest_ids(self):
@@ -242,6 +267,37 @@ class TestAugmentFrom:
     def test_rejects_equal_sizes(self, triangle):
         with pytest.raises(PreconditionError, match="smaller"):
             triangle.augment_from({0}, {1})
+
+    @pytest.mark.parametrize("oracle, i, j, added, bound", [
+        # bowtie, triangles 012 and 234: edge 2 closes the first on I
+        (GraphicMatroid(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]),
+         {0, 1}, {0, 2, 3, 4}, {3, 4}, 5),
+        # element 1 shares the full block of element 0
+        (PartitionMatroid([0, 0, 1, 2], [1, 1, 1]), {0}, {1, 2, 3}, {2, 3},
+         5),
+    ], ids=["graphic-bowtie", "partition"])
+    def test_one_pass_predicate_calls(self, oracle, i, j, added, bound):
+        # Two precondition calls, then one per element of J \ I: a rejected
+        # element stays dependent on every larger set and is not asked
+        # again.  Rescanning from the lowest id every round asks 6.
+        assert oracle.augment_from(i, j) == frozenset(added)
+        assert oracle.independence_calls <= bound
+
+    def test_matches_the_rescanning_reference(self):
+        rng = random.Random(20150)
+        cases = 0
+        for oracle in random_oracles(rng):
+            independent = [s for s in all_subsets(oracle.ground_size)
+                           if oracle.is_independent(s)]
+            for _ in range(6):
+                j = rng.choice(independent)
+                smaller = [i for i in independent if len(i) < len(j)]
+                if smaller:
+                    i = rng.choice(smaller)
+                    assert oracle.augment_from(i, j) == \
+                        reference_augment_from(oracle, i, j)
+                    cases += 1
+        assert cases > 1000
 
 
 class TestCircuits:
@@ -275,6 +331,36 @@ class TestCircuits:
         witnesses = [c for c in brute_circuits(m, {1, 2, 3}) if 2 in c]
         assert out in witnesses
         assert out == frozenset({1, 2, 3})
+
+    @pytest.mark.parametrize("oracle, c1, c2, e, f, circuit, bound", [
+        # the four-cycle 0134 with chord 2: edge 1 is not needed for the
+        # triangle 234 through 3
+        (GraphicMatroid(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]),
+         {0, 1, 3, 4}, {0, 1, 2}, 0, 3, {2, 3, 4}, 16),
+        (UniformMatroid(2, 5), {0, 1, 2}, {1, 3, 4}, 1, 0, {0, 3, 4}, 15),
+    ], ids=["graphic-four-cycle", "uniform"])
+    def test_eliminate_one_pass_predicate_calls(self, oracle, c1, c2, e, f,
+                                                circuit, bound):
+        # One pass drops the extra element; a second pass, which the
+        # shrinking loop made after every removal, would ask 4 more.
+        assert oracle.eliminate_circuit(c1, c2, e, f) == frozenset(circuit)
+        assert oracle.independence_calls <= bound
+
+    def test_eliminate_matches_the_fixpoint_reference(self):
+        rng = random.Random(20151)
+        cases = 0
+        for oracle in random_oracles(rng):
+            circuits = brute_circuits(oracle, range(oracle.ground_size))
+            for _ in range(6):
+                c1, c2 = rng.choice(circuits), rng.choice(circuits)
+                if not c1 & c2 or not c1 - c2:
+                    continue
+                e = rng.choice(sorted(c1 & c2))
+                f = rng.choice(sorted(c1 - c2))
+                assert oracle.eliminate_circuit(c1, c2, e, f) == \
+                    reference_eliminate_circuit(oracle, c1, c2, e, f)
+                cases += 1
+        assert cases > 300
 
     def test_eliminate_rejects_bad_inputs(self, triangle):
         with pytest.raises(PreconditionError, match="not a circuit"):
