@@ -7,7 +7,6 @@ Exit codes: 0 on solved/verified, 2 on infeasible, 1 on error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -15,6 +14,7 @@ from .fileio import (
     InstanceFormatError,
     dumps_doc,
     instance_to_doc,
+    loads_doc,
     parse_instance,
     parse_rows,
     result_to_doc,
@@ -112,12 +112,8 @@ def _symbol(text):
 
 def _cmd_encode_latin(args):
     if os.path.exists(args.rows):
-        try:
-            doc = json.loads(_read(args.rows))
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(
-                f"rows: {args.rows} is not valid JSON ({exc})") from exc
-        rows = parse_rows(doc)
+        rows = parse_rows(loads_doc(_read(args.rows),
+                                    f"rows: {args.rows} is not valid JSON"))
     else:
         # inline form: rows separated by ';', symbols by ','
         rows = parse_rows([[_symbol(v) for v in row.split(",")]

@@ -96,8 +96,15 @@ def _element_field(doc, key, names, labels, where):
     return field
 
 
-def _spec_from_doc(doc, names, where):
-    """The ``describe()`` form of a matroid document over named elements."""
+#: The most lifts a matroid document may nest.  Reading, building and
+#: asking a lift recurse through every level, and a command-line solve
+#: exhausts the interpreter's stack at about 500 levels.
+MAX_LIFT_DEPTH = 100
+
+
+def _spec_from_doc(doc, names, where, lifts):
+    """The ``describe()`` form of a matroid document over named elements,
+    inside ``lifts`` enclosing lifts."""
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{where}: expected an object")
     kind = _require(doc, "type", where)
@@ -117,9 +124,12 @@ def _spec_from_doc(doc, names, where):
             spec[key] = [_integer(cap_doc[lab], f"{where}.capacity['{lab}']")
                          for lab in labels]
         elif key == "base":
+            if lifts == MAX_LIFT_DEPTH:
+                raise InstanceFormatError(
+                    f"{where}: lifts nest more than {MAX_LIFT_DEPTH} deep")
             labels = _names(_require(doc, "values", where), f"{where}.values")
             spec[key] = _spec_from_doc(_require(doc, key, where), labels,
-                                       f"{where}.base")
+                                       f"{where}.base", lifts + 1)
         elif key == "ground_size":
             spec[key] = len(names)
         else:
@@ -128,7 +138,7 @@ def _spec_from_doc(doc, names, where):
 
 
 def _matroid_from_doc(doc, names, where):
-    spec = _spec_from_doc(doc, names, where)
+    spec = _spec_from_doc(doc, names, where, 0)
     try:
         return build_matroid(spec, len(names))
     except MatroidSpecError as exc:
@@ -166,22 +176,27 @@ def parse_instance_doc(doc):
     return instance, list(names)
 
 
-def parse_rows(doc, where="rows"):
+def parse_rows(doc):
     """The rows of an array: a non-empty list of lists of integers."""
-    rows = _list(doc, "rows", where)
+    rows = _list(doc, "rows", "rows")
     if not rows:
-        raise InstanceFormatError(f"{where}: expected at least one row")
-    return [[_integer(v, f"{where}[{i}]")
-             for v in _list(row, "integers", f"{where}[{i}]")]
+        raise InstanceFormatError("rows: expected at least one row")
+    return [[_integer(v, f"rows[{i}]")
+             for v in _list(row, "integers", f"rows[{i}]")]
             for i, row in enumerate(rows)]
 
 
-def parse_instance(text):
+def loads_doc(text, what):
+    """text decoded as JSON; an InstanceFormatError that begins with what
+    when it is not JSON or nests too deeply to decode."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"document: invalid JSON ({exc})") from exc
-    return parse_instance_doc(doc)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InstanceFormatError(f"{what} ({exc})") from exc
+
+
+def parse_instance(text):
+    return parse_instance_doc(loads_doc(text, "document: invalid JSON"))
 
 
 def _spec_to_doc(spec, names):

@@ -14,8 +14,8 @@ search tests sources lazily, in order, and stops at the first source that is
 also a sink; sinks are tested only when the search reaches them.  This is
 exact because augmenting along a shortest path never shrinks a span
 (Cunningham 1986), and because the first source-sink in order is the path an
-eager search returns; it uses only the independence predicate and
-``fundamental_circuit``, so it holds for every species.
+eager search returns; it uses only the independence predicate and the
+species circuit hook, so it holds for every species.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
                     continue
                 # Every source has a parent, so s + y is dependent in M1.
                 if y not in m1_circuit:
-                    m1_circuit[y] = m1.fundamental_circuit(s, y)
+                    m1_circuit[y] = m1._circuit(s, y)
                 if node in m1_circuit[y]:
                     parent[y] = node
                     if is_sink(y):
@@ -285,7 +285,7 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
         else:
             # node is an addition; arcs go to removals repairing M2.  A sink
             # returns as soon as it is reached, so s + node is dependent in M2.
-            for x in sorted(m2.fundamental_circuit(s, node),
+            for x in sorted(m2._circuit(s, node),
                             key=position.__getitem__):
                 if x not in parent:
                     parent[x] = node

@@ -6,11 +6,11 @@ fields once, as ``fields``: the ``describe()`` keys in constructor order.
 is its exact inverse; the file layer only maps it to element names.
 
 The base class computes every derived operation (rank, span, circuits,
-augmentation) from the independence predicate alone, so a new oracle species
-plugs in without touching the rest of the library.  A species may override a
-derived operation's hook with a closed form: each built-in species overrides
-``_circuit`` (the search inside ``fundamental_circuit``), and the
-predicate-only base versions stay as the reference the tests compare against.
+augmentation) from the independence predicate alone, so a new species plugs
+in without touching the rest of the library.  Each built-in species overrides
+the hook ``_circuit`` with a closed form; the predicate-only base version is
+the tests' reference.  ``fundamental_circuit`` checks that I is independent
+and I + x dependent; package code that has proved both calls ``_circuit``.
 
 Each species' predicate ``_independent`` is a kernel below the call counter:
 ``is_independent`` checks the subset and counts the call, so a faster kernel
@@ -190,8 +190,8 @@ class MatroidOracle:
         return self._circuit(i, x)
 
     def _circuit(self, i, x):
-        """Species hook of ``fundamental_circuit``: the circuit of x in the
-        independent frozenset i, for i + x dependent, without x.
+        """Species hook of ``fundamental_circuit``, unchecked, for callers
+        that proved frozenset i independent and i + x dependent: C(i, x) - x.
 
         This version asks the predicate once per element of i and is the
         reference every species override is tested against."""

@@ -376,7 +376,7 @@ def _candidate_branch(instance, state, k, a, r_set):
         if n_oracle.is_independent(r_set | {step.added}):
             raise TheoremViolationError(
                 f"witness addition {step.added} lies outside span_N(R)")
-        if r_new in n_oracle.fundamental_circuit(r_set, step.added):
+        if r_new in n_oracle._circuit(r_set, step.added):
             # Truncate at the first step whose addition could have removed
             # r_new instead; swap that removal for r_new.
             steps = prefix[:pos] + (TrailStep(step.source, step.added, r_new),)

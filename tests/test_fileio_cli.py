@@ -17,6 +17,7 @@ from rainbowmat import (
     solve,
 )
 from rainbowmat.cli import main
+from rainbowmat.fileio import MAX_LIFT_DEPTH
 
 SAMPLE = {
     "ground": ["a", "b", "c"],
@@ -296,6 +297,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not a text file")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, where", [
+        (["solve", "--in"], "document: invalid JSON ("),
+        (["encode-latin", "--rows"], "rows: {path} is not valid JSON (")])
+    def test_too_deeply_nested_input_file(self, command, where, tmp_path,
+                                          capsys):
+        # Deeper than the JSON decoder can recurse.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        assert main(command + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where.format(path=path)}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lifts", [MAX_LIFT_DEPTH, MAX_LIFT_DEPTH + 1,
+                                       900])
+    def test_lift_nesting_bounded(self, lifts, tmp_path, capsys):
+        # Asking a lift recurses once per level: 900 levels parse, but
+        # solving them would exhaust the stack.
+        base = {"type": "uniform", "rank": 2}
+        for _ in range(lifts - 1):
+            base = {"type": "lift", "values": ["x", "y", "z"],
+                    "value": {"x": "x", "y": "y", "z": "z"}, "base": base}
+        doc = {**SAMPLE, "matroid_N": {
+            "type": "lift", "values": ["x", "y", "z"],
+            "value": {"a": "x", "b": "y", "c": "z"}, "base": base}}
+        src = tmp_path / "lift.json"
+        src.write_text(json.dumps(doc))
+        code = main(["solve", "--in", str(src), "--out",
+                     str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        if lifts <= MAX_LIFT_DEPTH:
+            assert code == 0
+        else:
+            assert code == 1
+            where = "matroid_N" + ".base" * MAX_LIFT_DEPTH
+            assert err == (f"error: {where}: lifts nest more than "
+                           f"{MAX_LIFT_DEPTH} deep\n")
 
     @pytest.mark.parametrize("command", [
         ["stress", "--species", "uniform,partition", "--n", "2", "--m", "3",

@@ -296,12 +296,22 @@ class TestRandomInstance:
         assert digest.hexdigest() == ("24a70f3225d7df59fbfa239a85e10a77"
                                       "d7ddf7a97ffd567634619bd0b7f943bc")
 
+    def test_generation_asks_the_circuit_hook(self, monkeypatch):
+        # The search proves both preconditions of every circuit it asks
+        # for, so it calls the species hook and never the checked wrapper.
+        def checked(oracle, i, x):
+            raise AssertionError("fundamental_circuit called")
+
+        monkeypatch.setattr(MatroidOracle, "fundamental_circuit", checked)
+        self.test_generated_documents_pinned()
+
 
 def test_generation_predicate_calls_bounded(monkeypatch):
     # The primary cost metric of generation, over the grid of
     # test_generated_documents_pinned: every independence test made while
-    # generating, retries included.  13322 is the count with lazy sources;
-    # listing every source before the search made 27330.
+    # generating, retries included.  9892 is the count with circuits asked
+    # of the species hook; fundamental_circuit's re-checks of both
+    # preconditions made 13322, and listing every source first made 27330.
     calls = []
     real = MatroidOracle.is_independent
 
@@ -318,7 +328,7 @@ def test_generation_predicate_calls_bounded(monkeypatch):
         for n in range(2, 6):
             for seed in range(3):
                 random_instance(species_m, species_n, n, 2 * n - 1, seed)
-    assert len(calls) <= 13322
+    assert len(calls) <= 9892
 
 
 def reference_augmenting_path(m1, m2, current, order):

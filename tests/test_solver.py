@@ -14,6 +14,8 @@ import pytest
 from rainbowmat import lab, solver
 from rainbowmat import (
     Augment,
+    GraphicMatroid,
+    LinearMatroid,
     MatroidOracle,
     NewReachable,
     PreconditionError,
@@ -225,6 +227,30 @@ class TestSweepRound:
         assert reason is None and trail.augmenting
         assert apply_trail(inst, r, trail).size() == 4
         assert solve(inst).assignment.choices == {1: 2, 2: 3, 3: 4, 6: 6}
+
+    def test_truncate_and_swap_is_needed(self):
+        # Elements 2 and 3 are parallel in N.  The k = 3 round rewinds the
+        # witness (2, 2, 0) of 0, and the N-circuit {0, 1} of its addition
+        # 2 holds the unreachable 1.  The full prefix plus (3, 3, 1) would
+        # add both parallel elements; the cut trail removes 1 in place of 0.
+        m = GraphicMatroid(8, [(1, 2), (2, 3), (3, 4), (1, 3), (5, 6),
+                               (6, 7)])
+        n = LinearMatroid(2, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                              (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+        family = ({0, 4, 5}, {1, 4, 5}, {2, 4, 5}, {3, 4, 5}, {0, 4, 5})
+        inst = RainbowInstance(m, n, tuple(map(frozenset, family)), 3)
+        inst.validate()
+        r = RainbowAssignment({0: 0, 1: 1})
+        state = SweepState(fresh=[2, 3, 4])
+        first = sweep_round(inst, r, state)
+        assert first == NewReachable(0, Trail((TrailStep(2, 2, 0),), False))
+        state.reachable.add(0)
+        state.witness[0] = first.trail
+        out = sweep_round(inst, r, state)
+        assert out == NewReachable(1, Trail((TrailStep(2, 2, 1),), False))
+        assert validate_trail(inst, r, out.trail)
+        full_prefix = Trail((TrailStep(2, 2, 0), TrailStep(3, 3, 1)), False)
+        assert not validate_trail(inst, r, full_prefix)
 
 
 class TestCloseRound:
