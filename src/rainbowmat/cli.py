@@ -149,7 +149,7 @@ def _cmd_selftest(args):
     for res in results:
         status = "ok" if res.ok else f"FAILED ({len(res.failures)} cases)"
         print(f"selftest {res.name} [{res.species}]: "
-              f"{res.accepted} cases, {status}")
+              f"{res.accepted} cases, {status}, digest {res.digest}")
         bad += len(res.failures)
     return EXIT_OK if bad == 0 else EXIT_ERROR
 

@@ -17,7 +17,12 @@ from __future__ import annotations
 import json
 from collections.abc import Hashable
 
-from .matroids import SPEC_FIELDS, MatroidSpecError, build_matroid
+from .matroids import (
+    MAX_LIFT_DEPTH,
+    SPEC_FIELDS,
+    MatroidSpecError,
+    build_matroid,
+)
 from .solver import RainbowInstance
 
 
@@ -94,12 +99,6 @@ def _element_field(doc, key, names, labels, where):
                 f"{at}: expected two endpoints, got {len(entry)}")
         field.append([_integer(v, at) for v in entry])
     return field
-
-
-#: The most lifts a matroid document may nest.  Reading, building and
-#: asking a lift recurse through every level, and a command-line solve
-#: exhausts the interpreter's stack at about 500 levels.
-MAX_LIFT_DEPTH = 100
 
 
 def _spec_from_doc(doc, names, where, lifts):

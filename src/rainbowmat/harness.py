@@ -2,12 +2,16 @@
 
 Each harness draws random oracles of one species, searches for inputs that
 satisfy the relevant hypotheses (rejection sampling; only accepted cases
-count toward the quota), and records any counterexample found.
+count toward the quota), and records any counterexample found.  Each
+accepted case is folded, with its oracle's ``describe()``, into a digest,
+so two versions of the library can be shown to draw the same cases.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
 
@@ -20,10 +24,24 @@ class HarnessResult:
     species: str
     accepted: int
     failures: list = field(default_factory=list)
+    _cases: object = field(default_factory=hashlib.sha256, repr=False,
+                           compare=False)
 
     @property
     def ok(self):
         return not self.failures
+
+    @property
+    def digest(self):
+        """sha256 prefix over every accepted case and its oracle, in order."""
+        return self._cases.hexdigest()[:16]
+
+    def accept(self, oracle, case):
+        """Count an accepted case and fold it, with its oracle, into the
+        digest."""
+        self.accepted += 1
+        self._cases.update(json.dumps([oracle.describe(), case],
+                                      sort_keys=True).encode() + b"\n")
 
 
 def _random_independent(oracle, rng, max_size):
@@ -102,7 +120,7 @@ def run_fact1_harness(species, cases, seed):
                 elif oracle.span(swapped) != span_i:
                     result.failures.append({**case, "a": a,
                                             "why": "span not preserved"})
-            result.accepted += 1
+            result.accept(oracle, case)
             if result.accepted >= cases:
                 break
     return result
@@ -130,7 +148,7 @@ def run_fact2_harness(species, cases, seed):
                 result.failures.append({**case, "why": "too few elements"})
             if not oracle.is_independent(i | added):
                 result.failures.append({**case, "why": "union dependent"})
-            result.accepted += 1
+            result.accept(oracle, case)
             if result.accepted >= cases:
                 break
     return result
@@ -162,7 +180,7 @@ def run_fact3_harness(species, cases, seed):
                 result.failures.append({**case, "why": "witness misses f or keeps e"})
             if not witness <= (c1 | c2) - {e}:
                 result.failures.append({**case, "why": "witness leaves the union"})
-            result.accepted += 1
+            result.accept(oracle, case)
             if result.accepted >= cases:
                 break
     return result
@@ -226,12 +244,12 @@ def run_lemma3_harness(species, cases, seed):
                                               y_next, x_next)
                 except HypothesisError:
                     continue
-                result.accepted += 1
+                case = {"i": sorted(i), "x_list": x_list, "y_list": y_list,
+                        "y_next": y_next, "x_next": x_next}
+                result.accept(oracle, case)
                 if not conclusion:
-                    result.failures.append(
-                        {"i": sorted(i), "x_list": x_list, "y_list": y_list,
-                         "y_next": y_next, "x_next": x_next,
-                         "why": "conclusion failed"})
+                    result.failures.append({**case,
+                                            "why": "conclusion failed"})
                 break
             if result.accepted >= cases:
                 break

@@ -16,6 +16,13 @@ exact because augmenting along a shortest path never shrinks a span
 (Cunningham 1986), and because the first source-sink in order is the path an
 eager search returns; it uses only the independence predicate and the
 species circuit hook, so it holds for every species.
+
+Generation stops as soon as its answer is settled.  ``random_instance``
+learns the common rank from its first search and passes it to every later
+one, which stops at that size instead of making a last search that must
+fail.  ``random_oracle`` asks only whether the rank reaches ``min_rank``,
+with a greedy pass that stops once it holds that many elements.  Neither
+rule changes a drawn oracle or a generated set.
 """
 
 from __future__ import annotations
@@ -312,31 +319,54 @@ def _order_positions(order, ground_size):
     return position
 
 
-def max_common_independent(m1, m2, order=None):
+def max_common_independent(m1, m2, order=None, *, rank=None):
     """Maximum-cardinality common independent set by repeated shortest
     augmenting paths.
 
     span_Mi(s) is inside span_Mi(s ^ P) for i = 1, 2 when P is a shortest
     augmenting path, so the spanned elements found by one search stay
     spanned for the rest of this call.  They belong to this call alone:
-    another order builds other current sets."""
+    another order builds other current sets.
+
+    ``rank``, when given, must be the common rank of m1 and m2.  The loop
+    then stops once the current set has that size, without the last search.
+    A common independent set of the common rank is maximum, so it has no
+    augmenting path (Cunningham 1986): that search would find none and
+    return this same set.  A larger ``rank`` is never reached, and the
+    loop ends at the failing search as without it."""
     if m1.ground_size != m2.ground_size:
         raise PreconditionError("oracles disagree on ground set size")
     order = list(order) if order is not None else list(range(m1.ground_size))
     position = _order_positions(order, m1.ground_size)
     current = set()
     m1_spanned, m2_spanned = set(), set()
-    while True:
+    while len(current) != rank:
         path = _augmenting_path(m1, m2, current, order, position,
                                 m1_spanned, m2_spanned)
         if path is None:
-            return frozenset(current)
+            break
         current.symmetric_difference_update(path)
+    return frozenset(current)
+
+
+def _rank_reaches(oracle, rank):
+    """Whether the ground set has rank at least ``rank``: the greedy pass of
+    ``max_independent_subset``, stopped once it holds ``rank`` elements.
+    Greedy's set only grows, so the full pass would reach ``rank`` too."""
+    held = set()
+    for x in range(oracle.ground_size):
+        if len(held) == rank:
+            break
+        held.add(x)
+        if not oracle.is_independent(held):
+            held.discard(x)
+    return len(held) >= rank
 
 
 def random_oracle(species, ground_size, min_rank, rng):
     """Draw a random oracle of the requested species whose ground-set rank is
-    at least min_rank."""
+    at least min_rank.  The rank probe stops at min_rank, so a draw costs at
+    most one predicate call per ground element and often far fewer."""
     if min_rank > ground_size:
         raise GenerationError(
             f"no {species} oracle on {ground_size} elements can reach "
@@ -372,7 +402,7 @@ def random_oracle(species, ground_size, min_rank, rng):
             oracle = LinearMatroid(prime, columns)
         else:
             raise PreconditionError(f"unknown species {species!r}")
-        if oracle.rank(range(ground_size)) >= min_rank:
+        if _rank_reaches(oracle, min_rank):
             return oracle
     raise GenerationError(
         f"could not draw a {species} oracle of rank >= {min_rank} "
@@ -384,7 +414,11 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
 
     Each family set is a maximum common independent set found under a random
     preference order, truncated to n elements; by heredity it is common
-    independent, so the instance is valid as built."""
+    independent, so the instance is valid as built.
+
+    The first search settles the common rank.  Below n, the pair is drawn
+    again at once; otherwise every later search stops at that rank, and
+    each oracle draw stops its rank probe at n (see ``random_oracle``)."""
     if n < 1 or m < 1:
         raise PreconditionError("n and m must be positive")
     g = ground_size if ground_size is not None else 3 * n
@@ -403,15 +437,18 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
             continue
         state = rng.getstate()
         family = []
+        rank = None
         for _ in range(m):
             order = list(range(g))
             rng.shuffle(order)
-            full = max_common_independent(m_oracle, n_oracle, order=order)
+            full = max_common_independent(m_oracle, n_oracle, order=order,
+                                          rank=rank)
             if len(full) < n:
                 # Every maximum common independent set has the common rank,
                 # so the first search settles it; the retry draws as if
                 # this shuffle had not been made.
                 break
+            rank = len(full)
             family.append(frozenset([x for x in order if x in full][:n]))
         else:
             return RainbowInstance(m_oracle, n_oracle, tuple(family), n)

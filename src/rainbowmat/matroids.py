@@ -40,6 +40,11 @@ class PreconditionError(ValueError):
     """Raised when an operation's precondition is violated."""
 
 
+#: The most lifts one oracle may nest.  Building, reading and asking a lift
+#: recurse through every level, and a solve exhausts the interpreter's stack
+#: at about 500 levels; the constructor and the file reader refuse more.
+MAX_LIFT_DEPTH = 100
+
 #: The largest field size ``LinearMatroid`` accepts: ``is_prime`` tests by
 #: trial division, which takes milliseconds up to here and grows unbounded.
 MAX_PRIME = 2**31 - 1
@@ -481,7 +486,8 @@ class ParallelLiftMatroid(MatroidOracle):
 
     A set is independent iff its values are pairwise distinct and the value
     set is independent in the base matroid; elements sharing a value are
-    parallel copies of each other.
+    parallel copies of each other.  At most ``MAX_LIFT_DEPTH`` lifts nest,
+    this one included.
     """
 
     species = "lift"
@@ -493,6 +499,12 @@ class ParallelLiftMatroid(MatroidOracle):
         super().__init__(len(value_of))
         if not isinstance(base, MatroidOracle):
             raise MatroidSpecError(f"base: expected an oracle, got {base!r}")
+        #: How many lifts nest here, this one included.
+        self.depth = base.depth + 1 if isinstance(
+            base, ParallelLiftMatroid) else 1
+        if self.depth > MAX_LIFT_DEPTH:
+            raise MatroidSpecError(
+                f"base: lifts nest more than {MAX_LIFT_DEPTH} deep")
         for idx, v in enumerate(value_of):
             if not 0 <= v < base.ground_size:
                 raise MatroidSpecError(

@@ -7,6 +7,9 @@ import pytest
 
 from rainbowmat import (
     InstanceFormatError,
+    ParallelLiftMatroid,
+    RainbowInstance,
+    UniformMatroid,
     drisko_instance,
     dumps_doc,
     instance_to_doc,
@@ -160,6 +163,21 @@ class TestSerialize:
         doc = json.loads(dumps_doc(instance_to_doc(inst)))
         again, _ = parse_instance_doc(doc)
         assert again.digest() == inst.digest()
+
+    def test_deepest_lift_chain_round_trip(self):
+        # Every lift chain the library builds can be written, read back and
+        # solved; one level more is refused when it is built (see
+        # test_matroids).
+        n_oracle = UniformMatroid(2, 3)
+        for _ in range(MAX_LIFT_DEPTH):
+            n_oracle = ParallelLiftMatroid([0, 1, 2], n_oracle)
+        inst = RainbowInstance(UniformMatroid(2, 3), n_oracle,
+                               (frozenset({0, 1}), frozenset({1, 2}),
+                                frozenset({0, 2})), 2)
+        again, _ = parse_instance(dumps_doc(instance_to_doc(inst)))
+        assert again.n_oracle.depth == MAX_LIFT_DEPTH
+        assert again.digest() == inst.digest()
+        assert solve(again).status == "solved"
 
     def test_dumps_canonical(self):
         text = dumps_doc({"b": 1, "a": [2, 1]})
@@ -379,3 +397,14 @@ class TestCli:
         assert main(["selftest", "--cases", "20", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "ok" in out
+
+    def test_selftest_output_names_the_drawn_cases(self, capsys):
+        outs = []
+        for seed in (2, 3, 2):
+            assert main(["selftest", "--cases", "5", "--seed",
+                         str(seed)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[2] != outs[1]
+        lines = outs[0].splitlines()
+        assert len(lines) == 16
+        assert all(", ok, digest " in line for line in lines)

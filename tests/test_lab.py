@@ -309,9 +309,11 @@ class TestRandomInstance:
 def test_generation_predicate_calls_bounded(monkeypatch):
     # The primary cost metric of generation, over the grid of
     # test_generated_documents_pinned: every independence test made while
-    # generating, retries included.  9892 is the count with circuits asked
-    # of the species hook; fundamental_circuit's re-checks of both
-    # preconditions made 13322, and listing every source first made 27330.
+    # generating, retries included.  6677 is the count with each family
+    # search stopped at the common rank and each oracle draw's rank probe
+    # stopped at n; one more failing search per set and a full-ground probe
+    # made 9892, fundamental_circuit's re-checks of both preconditions
+    # 13322, and listing every source first 27330.
     calls = []
     real = MatroidOracle.is_independent
 
@@ -328,7 +330,7 @@ def test_generation_predicate_calls_bounded(monkeypatch):
         for n in range(2, 6):
             for seed in range(3):
                 random_instance(species_m, species_n, n, 2 * n - 1, seed)
-    assert len(calls) <= 9892
+    assert len(calls) <= 6677
 
 
 def reference_augmenting_path(m1, m2, current, order):
@@ -513,6 +515,35 @@ class TestMaxCommonIndependent:
         m1, m2 = UniformMatroid(2, 4), UniformMatroid(2, 4)
         assert reference_augmenting_path(m1, m2, set(), order) == [0]
         assert m1.independence_calls + m2.independence_calls == 8
+
+    def test_rank_stops_at_the_same_set(self):
+        # Given the common rank, the loop stops at that size without the
+        # search that must fail, and returns the set that search confirms.
+        saved = cases = 0
+        for m1, m2, order in itertools.chain(
+                random_pair_cases(seed=41, per_pair=16),
+                path_matching_cases(seed=41)):
+            start = m1.independence_calls + m2.independence_calls
+            want = max_common_independent(m1, m2, order=order)
+            middle = m1.independence_calls + m2.independence_calls
+            assert max_common_independent(m1, m2, order=order,
+                                          rank=len(want)) == want
+            end = m1.independence_calls + m2.independence_calls
+            assert end - middle <= middle - start
+            saved += (middle - start) - (end - middle)
+            cases += 1
+        assert cases >= 16 * 16
+        assert saved > 0
+
+    def test_rank_above_the_common_rank_returns_the_maximum(self):
+        for m1, m2, order in itertools.chain(
+                random_pair_cases(seed=43, per_pair=4),
+                path_matching_cases(seed=43)):
+            want = max_common_independent(m1, m2, order=order)
+            assert max_common_independent(
+                m1, m2, order=order, rank=len(want) + 1) == want
+            assert max_common_independent(
+                m1, m2, order=order, rank=m1.ground_size + 1) == want
 
     @pytest.mark.parametrize("order, message", [
         ([0, 1, 3], "omits element 2"),
@@ -700,3 +731,51 @@ class TestRandomInstanceSearches:
                                          seed, n + 2)
         assert dumps_doc(instance_to_doc(got)) == \
             dumps_doc(instance_to_doc(want))
+
+
+class TestRandomOracle:
+    def test_stopped_probe_draws_as_the_full_rank(self, monkeypatch):
+        # The probe stops at min_rank; the reference asks the rank of the
+        # whole ground set.  Same oracles, same retries, same RNG stream,
+        # and never more predicate calls.  Small grounds make draws retry.
+        def draws(probe):
+            monkeypatch.setattr(lab, "_rank_reaches", probe)
+            out, calls = [], 0
+            for species in SPECIES:
+                for min_rank in range(1, 6):
+                    for g in (min_rank, min_rank + 1, 2 * min_rank + 3):
+                        for seed in range(50):
+                            rng = random.Random(seed)
+                            try:
+                                oracle = random_oracle(species, g, min_rank,
+                                                       rng)
+                            except GenerationError as exc:
+                                out.append((str(exc), rng.random()))
+                                continue
+                            out.append((oracle.describe(), rng.random()))
+                            calls += oracle.independence_calls
+            return out, calls
+
+        probes = Counter()
+
+        def full(oracle, rank):
+            reached = oracle.rank(range(oracle.ground_size)) >= rank
+            probes[reached] += 1
+            return reached
+
+        stopped = lab._rank_reaches
+        want, full_calls = draws(full)
+        got, stopped_calls = draws(stopped)
+        assert got == want
+        assert probes[False] >= 500
+        assert stopped_calls < full_calls
+
+    def test_probe_stops_at_the_rank(self):
+        oracle = UniformMatroid(4, 9)
+        assert lab._rank_reaches(oracle, 2)
+        assert oracle.independence_calls == 2
+        oracle = PartitionMatroid([0, 0, 0, 1], [1, 1])
+        assert not lab._rank_reaches(oracle, 3)
+        assert oracle.independence_calls == 4
+        assert lab._rank_reaches(oracle, 0)
+        assert oracle.independence_calls == 4

@@ -383,6 +383,22 @@ class TestParallelLift:
         with pytest.raises(MatroidSpecError, match="base ground set"):
             ParallelLiftMatroid([5], UniformMatroid(1, 2))
 
+    def test_nesting_bounded_when_built(self):
+        # Asking a lift recurses once per level, so a chain too deep to
+        # solve is refused by the constructor, not by the stack.
+        oracle = UniformMatroid(1, 2)
+        for depth in range(1, matroids.MAX_LIFT_DEPTH + 1):
+            oracle = ParallelLiftMatroid([1, 0], oracle)
+            assert oracle.depth == depth
+        assert oracle.is_independent({0})
+        with pytest.raises(MatroidSpecError, match=(
+                f"base: lifts nest more than {matroids.MAX_LIFT_DEPTH} "
+                f"deep")):
+            ParallelLiftMatroid([0, 1], oracle)
+        with pytest.raises(MatroidSpecError, match="lifts nest more than"):
+            build_matroid({"type": "lift", "value_of": [0, 1],
+                           "base": oracle.describe()}, 2)
+
 
 class TestKernels:
     """The graphic and linear predicates are kernels below the call counter;

@@ -135,13 +135,26 @@ class TestHarnessSweep:
     def test_deterministic(self):
         a = run_all(("graphic",), cases=40, seed=4)
         b = run_all(("graphic",), cases=40, seed=4)
-        assert [(r.name, r.accepted, r.failures) for r in a] == \
-            [(r.name, r.accepted, r.failures) for r in b]
+        assert [(r.name, r.accepted, r.failures, r.digest) for r in a] == \
+            [(r.name, r.accepted, r.failures, r.digest) for r in b]
+
+    def test_digest_follows_the_drawn_cases(self):
+        # Another seed draws other cases under the same counts; one case
+        # fewer is another digest too.
+        a = run_all(("graphic",), cases=40, seed=4)
+        b = run_all(("graphic",), cases=40, seed=5)
+        c = run_all(("graphic",), cases=39, seed=4)
+        assert [r.accepted for r in a] == [r.accepted for r in b]
+        for ra, rb, rc in zip(a, b, c):
+            assert len({ra.digest, rb.digest, rc.digest}) == 3
 
 
 def stuck_states(instance, cap):
     """Up to cap inclusion-maximal rainbow assignments of size below n, in
-    depth-first order (each set takes an element before it is skipped)."""
+    depth-first order (each set takes an element before it is skipped),
+    among the first 2000 nodes of the search.  Once n - 1 elements are
+    taken every further pick fills the set, so the search goes straight to
+    the one leaf that can still be stuck: every later set skipped."""
     family = [sorted(a) for a in instance.family]
     ground = range(instance.m_oracle.ground_size)
     addable = {}
@@ -156,10 +169,15 @@ def stuck_states(instance, cap):
         return addable[r]
 
     found, choices = [], {}
+    nodes = 0
 
     def dfs(idx, r):
-        if len(found) == cap or len(r) == instance.n:
+        nonlocal nodes
+        nodes += 1
+        if len(found) == cap or nodes > 2000:
             return
+        if len(r) == instance.n - 1:
+            idx = len(family)
         if idx == len(family):
             free = extensions(r)
             if all(k in choices or free.isdisjoint(a)
