@@ -9,10 +9,13 @@ The searches here use the oracles alone, not the sweep machinery in
 
 ``max_common_independent`` keeps, across its augmentations, the elements it
 has found spanned by the current set in M1 (never again a source) and in M2
-(never again a sink), and asks neither predicate about them again.  Each
-search tests sources lazily, in order, and stops at the first source that is
-also a sink; sinks are tested only when the search reaches them.  This is
-exact because augmenting along a shortest path never shrinks a span
+(never again a sink).  An element known M1-spanned is asked nothing again;
+one known M2-spanned is never asked M2 again.  Each search tests the other
+sources lazily, in order, and stops at the first source that is also a sink;
+sinks are tested only when the search reaches them.  A known non-sink cannot
+be that source, so its M1 test waits until a search finds no one-element
+path and queues every source, in order, for its breadth-first search.  This
+is exact because augmenting along a shortest path never shrinks a span
 (Cunningham 1986), and because the first source-sink in order is the path an
 eager search returns; it uses only the independence predicate and the
 species circuit hook, so it holds for every species.
@@ -239,11 +242,22 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
     each element to its index in ``order``.
 
     Sources are tested lazily, in order: the search returns at the first
-    source that is also a sink, so no element after it is asked about.  With
-    no such source every source is queued, in order, before the breadth-first
-    search starts, so the path found is the one an eager listing finds."""
+    source that is also a sink, so no element after it is asked about.  An
+    element in ``m2_spanned`` cannot be that source, so the scan defers its
+    M1 test.  With no source-sink every source is queued, in order, before
+    the breadth-first search starts: the deferred elements are tested then,
+    so the path found is the one an eager listing finds, and no element is
+    asked about twice."""
     s = frozenset(current)
     outside = [y for y in order if y not in s]
+
+    def is_source(y):
+        # A source is a root of the search: it gets parent None.
+        if m1.is_independent(s | {y}):
+            parent[y] = None
+            return True
+        m1_spanned.add(y)
+        return False
 
     def is_sink(y):
         # Asked only when the search reaches y, at most once per call.
@@ -255,17 +269,18 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
         return False
 
     parent = {}
-    queue = deque()
+    scanned = []
     for y in outside:
         if y in m1_spanned:
             continue
-        if not m1.is_independent(s | {y}):
-            m1_spanned.add(y)
-            continue
-        parent[y] = None
-        if is_sink(y):
-            return [y]
-        queue.append(y)
+        if y not in m2_spanned:
+            if not is_source(y):
+                continue
+            if is_sink(y):
+                return [y]
+        scanned.append(y)
+    # The scanned elements without a parent are the deferred non-sinks.
+    queue = deque(y for y in scanned if y in parent or is_source(y))
     if not queue:
         return None
     # M1 circuit of each non-source addition, computed at most once here.
@@ -303,9 +318,13 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
 def _order_positions(order, ground_size):
     """Map each element to its index in order; order must be a permutation
     of the ground set, else the first stray, repeated or missing element is
-    named."""
+    named.  An entry that is not an ``int``, or is a ``bool``, is a stray
+    even when it equals an element, such as ``1.0`` or ``True``."""
     position = {}
     for k, x in enumerate(order):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise PreconditionError(
+                f"order element {x!r} is not an integer")
         if x not in range(ground_size):
             raise PreconditionError(
                 f"order element {x!r} is outside the ground set of size "

@@ -309,11 +309,12 @@ class TestRandomInstance:
 def test_generation_predicate_calls_bounded(monkeypatch):
     # The primary cost metric of generation, over the grid of
     # test_generated_documents_pinned: every independence test made while
-    # generating, retries included.  6677 is the count with each family
-    # search stopped at the common rank and each oracle draw's rank probe
-    # stopped at n; one more failing search per set and a full-ground probe
-    # made 9892, fundamental_circuit's re-checks of both preconditions
-    # 13322, and listing every source first 27330.
+    # generating, retries included.  6448 is the count with the source test
+    # of each known non-sink deferred until the search needs its queue;
+    # asking M1 about them on every search made 6677, one more failing
+    # search per set and a full-ground probe 9892, fundamental_circuit's
+    # re-checks of both preconditions 13322, and listing every source first
+    # 27330.
     calls = []
     real = MatroidOracle.is_independent
 
@@ -330,7 +331,7 @@ def test_generation_predicate_calls_bounded(monkeypatch):
         for n in range(2, 6):
             for seed in range(3):
                 random_instance(species_m, species_n, n, 2 * n - 1, seed)
-    assert len(calls) <= 6677
+    assert len(calls) <= 6448
 
 
 def reference_augmenting_path(m1, m2, current, order):
@@ -516,6 +517,46 @@ class TestMaxCommonIndependent:
         assert reference_augmenting_path(m1, m2, set(), order) == [0]
         assert m1.independence_calls + m2.independence_calls == 8
 
+    def test_known_non_sinks_are_not_asked_before_the_hit(self,
+                                                          monkeypatch):
+        # Element 0 is an M2 loop, so the first search learns it is no sink.
+        # The next two searches return at 2 and then 3, after it in order,
+        # without asking M1 about it; the last search, which needs its
+        # queue, asks once.  Asking on every search made four tests of 0.
+        m1 = UniformMatroid(4, 4)
+        m2 = PartitionMatroid([0, 1, 1, 1], [0, 3])
+        order = [0, 1, 2, 3]
+        assert reference_max_common(m1, m2, order) == {1, 2, 3}
+        asked = []
+        real = m1.is_independent
+
+        def recording(s):
+            asked.append(frozenset(s))
+            return real(s)
+
+        monkeypatch.setattr(m1, "is_independent", recording)
+        assert max_common_independent(m1, m2, order=order) == {1, 2, 3}
+        assert [s for s in asked if 0 in s] == [{0}, {0, 1, 2, 3}]
+
+    def test_a_path_can_start_at_a_deferred_source(self):
+        # Matching edges 0 = ap, 1 = bp, 2 = aq, 3 = cp with ap taken:
+        # M1 and M2 are the left and right endpoint partitions.  Edges 1
+        # and 3 are sources and no sinks, and each starts a path through 0
+        # to the sink 2.  Edge 1 is known not to be a sink, so its source
+        # test is deferred; it must still be queued first, as in order.
+        m1 = PartitionMatroid([0, 1, 0, 2], [1, 1, 1])
+        m2 = PartitionMatroid([0, 0, 1, 0], [1, 1])
+        order = [1, 3, 0, 2]
+        m1_spanned, m2_spanned = set(), {1}
+        path = lab._augmenting_path(m1, m2, {0}, order,
+                                    {x: k for k, x in enumerate(order)},
+                                    m1_spanned, m2_spanned)
+        assert path == [2, 0, 1]
+        assert (m1_spanned, m2_spanned) == ({2}, {1, 3})
+        # One M1 test for each of 1, 3 and 2; one M2 test for 3 and 2.
+        assert (m1.independence_calls, m2.independence_calls) == (3, 2)
+        assert reference_augmenting_path(m1, m2, {0}, order) == path
+
     def test_rank_stops_at_the_same_set(self):
         # Given the common rank, the loop stops at that size without the
         # search that must fail, and returns the set that search confirms.
@@ -550,6 +591,10 @@ class TestMaxCommonIndependent:
         ([0, 1, 1, 2, 3], "repeats element 1"),
         ([0, 1, 2, 4], "element 4 is outside"),
         ([0], "omits element 1"),
+        ([0, 1.0, 2, 3], "element 1.0 is not an integer"),
+        ([3.0, 2, 1, 0], "element 3.0 is not an integer"),
+        ([0, True, 2, 3], "element True is not an integer"),
+        ([0, 1, 2, "3"], "element '3' is not an integer"),
     ])
     def test_order_must_be_a_permutation(self, order, message):
         m = UniformMatroid(3, 4)
