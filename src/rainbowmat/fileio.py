@@ -145,7 +145,10 @@ def _matroid_from_doc(doc, names, where):
 
 
 def parse_instance_doc(doc):
-    """Validate a parsed document and return (RainbowInstance, names)."""
+    """Validate a parsed document and return (RainbowInstance, names).
+
+    The family is checked here, as a located format error, and ``solve``
+    does not check the returned instance again."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("document: expected an object")
     names = _names(_require(doc, "ground", "document"), "ground")
@@ -169,7 +172,7 @@ def parse_instance_doc(doc):
         family.append(frozenset(members))
     instance = RainbowInstance(m_oracle, n_oracle, tuple(family), n)
     try:
-        instance.validate()
+        instance._validate_once()
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
     return instance, list(names)

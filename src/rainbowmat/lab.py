@@ -159,7 +159,10 @@ def brute_force_rainbow(instance, target):
     addition keeps it independent in both matroids.  Picking an element
     re-tests only the elements still listed, since an element dependent on
     the used set stays dependent on every superset; a set's own candidates
-    are its list, tested already.  A branch is cut when fewer undecided
+    are its list, tested already.  The root lists cost two calls per family
+    set that is independent in both matroids, since by heredity its every
+    element is addable to the empty set; only the elements of a dependent
+    set are tested one by one.  A branch is cut when fewer undecided
     sets than elements still needed have a non-empty list.  Only failing
     candidates and branches that cannot reach the target are dropped, in
     the plain scan order, so the first hit and every None are the plain
@@ -171,11 +174,10 @@ def brute_force_rainbow(instance, target):
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
     choices = {}
 
-    def narrowed(used, lists, need):
+    def narrowed(used, lists, need, addable):
         # Each list cut to the elements still addable to used, each distinct
-        # element tested once; None as soon as fewer than need lists can
-        # stay non-empty.
-        addable = {}
+        # element tested once (addable holds the answers known so far);
+        # None as soon as fewer than need lists can stay non-empty.
         open_lists = sum(1 for listed in lists if listed)
         out = []
         for listed in lists:
@@ -205,7 +207,7 @@ def brute_force_rainbow(instance, target):
             return False
         for a in lists[0]:
             grown = used | {a}
-            later = narrowed(grown, lists[1:], need - 1)
+            later = narrowed(grown, lists[1:], need - 1, {})
             if later is None:
                 continue
             choices[idx] = a
@@ -214,8 +216,16 @@ def brute_force_rainbow(instance, target):
             del choices[idx]
         return dfs(idx + 1, used, lists[1:])
 
+    # At the root, heredity settles every element of a set independent in
+    # both matroids; a dependent set's elements are tested one by one.
+    root = {}
+    for a in instance.family:
+        if (not a <= root.keys() and m_oracle.is_independent(a)
+                and n_oracle.is_independent(a)):
+            root.update(dict.fromkeys(a, True))
     empty = frozenset()
-    lists = narrowed(empty, [sorted(a) for a in instance.family], target)
+    lists = narrowed(empty, [sorted(a) for a in instance.family], target,
+                     root)
     if lists is not None and dfs(0, empty, lists):
         return RainbowAssignment(dict(choices))
     return None
@@ -352,9 +362,16 @@ def max_common_independent(m1, m2, order=None, *, rank=None):
     A common independent set of the common rank is maximum, so it has no
     augmenting path (Cunningham 1986): that search would find none and
     return this same set.  A larger ``rank`` is never reached, and the
-    loop ends at the failing search as without it."""
+    loop ends at the failing search as without it.  A smaller one is the
+    caller's error: the loop stops there and returns a set that is not
+    maximum.  A ``rank`` that is a ``bool``, not an ``int`` or negative
+    raises ``PreconditionError`` before any predicate call."""
     if m1.ground_size != m2.ground_size:
         raise PreconditionError("oracles disagree on ground set size")
+    if rank is not None and (isinstance(rank, bool)
+                             or not isinstance(rank, int) or rank < 0):
+        raise PreconditionError(
+            f"rank {rank!r} is not a nonnegative integer")
     order = list(order) if order is not None else list(range(m1.ground_size))
     position = _order_positions(order, m1.ground_size)
     current = set()
@@ -535,7 +552,8 @@ class VerificationReport:
 
 def verify_instance(instance):
     """Run the solver and brute force at the same target and compare;
-    ``solve`` validates the instance first."""
+    ``solve`` validates the instance first, unless ``parse_instance_doc``
+    has."""
     calls_before = instance.oracle_calls()
     result = solve(instance)
     solver_size = result.assignment.size()

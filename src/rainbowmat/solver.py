@@ -20,7 +20,12 @@ extends a trail with; all lie outside R.  The two spans a round filters
 with, span_M(R - reachable) and span_N(reachable), depend on the reachable
 set and are computed per round.  ``validate_trail``, called by
 ``apply_trail`` on every trail it applies, is the one trail check, and it
-uses the same test.
+uses the same test.  The cat search reads each addition's removals off its
+N-circuit, from the species hook, instead of testing every element of R.
+
+``solve`` validates every instance it is given, except one that
+``fileio.parse_instance_doc`` has just built and validated: that instance
+is marked by ``RainbowInstance._validate_once``, and nothing else is.
 """
 
 from __future__ import annotations
@@ -73,6 +78,16 @@ class RainbowInstance:
             if not self.n_oracle.is_independent(a):
                 raise PreconditionError(f"family[{idx}] is dependent in N")
         return self
+
+    def _validate_once(self):
+        """Validate, and mark self so that ``solve`` does not validate it
+        again.  Only for an instance its builder has just made
+        (``fileio.parse_instance_doc``): an instance is frozen and its
+        oracles never change, so the answer cannot change either.  A
+        caller's instance is never marked, and ``dataclasses.replace``
+        builds an unmarked one."""
+        self.validate()
+        object.__setattr__(self, "_validated", True)
 
     def oracle_calls(self):
         return {"M": self.m_oracle.independence_calls,
@@ -433,9 +448,18 @@ def close_round(instance, assignment, state, final_index):
 def exhaustive_cat_search(instance, assignment):
     """Breadth-first search over all valid trails up to length |R| + 1 for an
     augmenting one.  Independent of the sweep machinery; a fallback for
-    families of fewer than 2n - 1 sets only."""
+    families of fewer than 2n - 1 sets only.
+
+    R must be N-independent, as in a validated assignment; it is tested
+    once, at entry, and an N-dependent R raises ``PreconditionError``.
+    Every set the search extends is then N-independent, so when current + a
+    is N-dependent, current + a - r is N-independent exactly when r lies in
+    the N-circuit C_N(current, a): the removals come from the species
+    circuit hook, with no predicate call per removal."""
     r_set = assignment.range_set()
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
+    if not n_oracle.is_independent(r_set):
+        raise PreconditionError("assignment range is dependent in N")
     # Whether each addition a lies in span_N(R): R is N-independent and a
     # lies outside it, so that is R + a being N-dependent.
     in_span_n = {}
@@ -461,11 +485,9 @@ def exhaustive_cat_search(instance, assignment):
                                     not n_oracle.is_independent(r_set | {a}))
                 if not in_span_n[a]:
                     continue  # no removal can restore span_N equality
-                for r in sorted(current & r_set):
-                    nxt = plus - {r}
-                    if n_oracle.is_independent(nxt):
-                        queue.append((steps + (TrailStep(k, a, r),), nxt,
-                                      used_src | {k}, used_add | {a}))
+                for r in sorted(n_oracle._circuit(current, a) & r_set):
+                    queue.append((steps + (TrailStep(k, a, r),), plus - {r},
+                                  used_src | {k}, used_add | {a}))
     return None
 
 
@@ -497,12 +519,15 @@ def _sweep_for_augmenting_trail(instance, assignment):
 def solve(instance):
     """Grow a rainbow common independent set to the target size.
 
-    With at least 2n-1 family sets the sweep alone reaches size n; smaller
-    families may come back infeasible, certified by brute force.
+    The instance is validated first, unless ``parse_instance_doc`` has
+    validated it already.  With at least 2n-1 family sets the sweep alone
+    reaches size n; smaller families may come back infeasible, certified by
+    brute force.
     """
     from .lab import max_rainbow  # local import to avoid a cycle
 
-    instance.validate()
+    if not getattr(instance, "_validated", False):
+        instance.validate()
     stats = SolveStats()
     calls_before = instance.oracle_calls()
     assignment = greedy_seed(instance)

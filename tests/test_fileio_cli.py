@@ -2,12 +2,15 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from rainbowmat import (
     InstanceFormatError,
+    MatroidOracle,
     ParallelLiftMatroid,
+    PreconditionError,
     RainbowInstance,
     UniformMatroid,
     drisko_instance,
@@ -21,6 +24,7 @@ from rainbowmat import (
 )
 from rainbowmat.cli import main
 from rainbowmat.fileio import MAX_LIFT_DEPTH
+from test_lab import count_validations
 
 SAMPLE = {
     "ground": ["a", "b", "c"],
@@ -147,6 +151,92 @@ class TestParse:
                "n": 0, "family": []}
         inst, names = parse_instance_doc(doc)
         assert solve(inst).status == "solved"
+
+
+class TestValidatedOnce:
+    """``parse_instance_doc`` validates the instance it builds, and ``solve``
+    does not validate that instance again; it validates every other."""
+
+    def test_solve_asks_only_what_it_reports(self):
+        # Every call solve makes on a parsed instance is in its stats,
+        # except the final check of the solved set, one call per matroid,
+        # which the stats have never counted.  A second solve of the same
+        # instance costs the same.
+        doc = instance_to_doc(random_instance("partition", "graphic", 4, 7,
+                                              seed=5))
+        inst, _names = parse_instance_doc(doc)
+        spent = []
+        for _ in range(2):
+            before = sum(inst.oracle_calls().values())
+            result = solve(inst)
+            spent.append(sum(inst.oracle_calls().values()) - before)
+            assert result.status == "solved"
+            assert spent[-1] == (result.stats.oracle_calls_m
+                                 + result.stats.oracle_calls_n + 2)
+        assert spent[0] == spent[1]
+
+    def test_one_validation_per_parsed_document(self, monkeypatch):
+        calls = count_validations(monkeypatch)
+        inst, _names = parse_instance_doc(SAMPLE)
+        solve(inst)
+        solve(inst)
+        assert calls == [inst]
+
+    def test_other_instances_validated_by_solve(self, monkeypatch):
+        # Only the parsed object is trusted: an equal instance built by a
+        # caller, or a copy made by dataclasses.replace, is validated.
+        inst, _names = parse_instance_doc(SAMPLE)
+        equal = RainbowInstance(inst.m_oracle, inst.n_oracle, inst.family,
+                                inst.n)
+        copy = replace(inst)
+        calls = count_validations(monkeypatch)
+        solve(equal)
+        solve(copy)
+        assert calls == [equal, copy]
+
+    def test_hand_built_invalid_family_refused(self):
+        inst, _names = parse_instance_doc(SAMPLE)
+        short = replace(inst, family=({0}, {1, 2}, {0, 2}))
+        with pytest.raises(PreconditionError,
+                           match=r"family\[0\] has size 1, expected 2"):
+            solve(short)
+        # a and b share the capacity-one block x of N.
+        clash = RainbowInstance(inst.m_oracle, inst.n_oracle,
+                                ({1, 2}, {0, 1}, {0, 2}), 2)
+        with pytest.raises(PreconditionError,
+                           match=r"family\[1\] is dependent in N"):
+            solve(clash)
+
+
+def test_parse_and_solve_predicate_calls_bounded(tmp_path, monkeypatch):
+    # The primary cost metric of ``rainbowmat solve``, over the grid of
+    # generated documents that test_lab pins: every independence test made
+    # while reading and solving them.  1761 is the count with each
+    # document validated once, by parse_instance_doc; solve validating it
+    # again made 2625.
+    pairs = (("uniform", "partition"), ("partition", "partition"),
+             ("partition", "graphic"), ("graphic", "graphic"),
+             ("graphic", "linear"), ("linear", "linear"))
+    paths = []
+    for species_m, species_n in pairs:
+        for n in range(2, 6):
+            for seed in range(3):
+                path = tmp_path / f"{species_m}-{species_n}-{n}-{seed}.json"
+                path.write_text(dumps_doc(instance_to_doc(random_instance(
+                    species_m, species_n, n, 2 * n - 1, seed))))
+                paths.append(path)
+    calls = []
+    real = MatroidOracle.is_independent
+
+    def counted(self, s):
+        calls.append(None)
+        return real(self, s)
+
+    monkeypatch.setattr(MatroidOracle, "is_independent", counted)
+    for path in paths:
+        assert main(["solve", "--in", str(path),
+                     "--out", str(path.with_suffix(".out"))]) == 0
+    assert len(calls) <= 1761
 
 
 class TestSerialize:

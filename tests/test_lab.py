@@ -157,6 +157,62 @@ class TestBruteForce:
         assert searches >= 300
         assert misses["forward"] < misses["plain"]
 
+    def test_root_asks_each_common_independent_set_once(self):
+        # Heredity settles the root lists of a family of common independent
+        # sets: two calls per set, where one test per element and matroid
+        # made 16.  Two sets cannot hold three picks, so the search ends
+        # at the root.
+        inst = encode_array([(1, 2, 3, 4), (2, 3, 4, 1)])
+        assert search_calls(inst, brute_force_rainbow, 3) == (None, 4)
+
+    def test_dependent_sets_tested_by_element(self):
+        # Hand-built, unvalidated families.  Element 3 is a loop of M
+        # (edge 3 is a loop) and element 0 a loop of N (capacity 0);
+        # edges 0 and 4 are parallel, and elements 4 and 5 share a
+        # capacity-one block of N.  Each element of a dependent set is
+        # tested on its own, so the answer is the plain search's at every
+        # target.
+        m = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 3), (0, 1),
+                               (1, 3)])
+        n = PartitionMatroid([3, 0, 1, 1, 2, 2], [2, 1, 1, 0])
+        families = [
+            ({0, 1}, {2, 4}, {1, 5}),
+            ({1, 3}, {2, 5}, {4, 5}),
+            ({3}, {0, 1}, {2, 3}, {1, 5}),
+            ({0, 4}, {1, 2}, {2, 3}),
+            ({2, 3}, {2, 5}, {0, 1}, {4}),
+        ]
+        found = 0
+        for family in families:
+            inst = RainbowInstance(m, n, family, 2)
+            for target in range(3):
+                want = reference_brute_force_rainbow(inst, target)
+                assert brute_force_rainbow(inst, target) == want
+                found += want is not None
+        assert found >= 9
+
+    def test_random_dependent_families_agree(self):
+        # Families of random 3-sets of random oracles, most of them
+        # dependent in one matroid or both.
+        rng = random.Random(29)
+        searches = dependent = 0
+        for species_m in SPECIES:
+            for species_n in SPECIES:
+                for _ in range(3):
+                    m = random_oracle(species_m, 6, 2, rng)
+                    n = random_oracle(species_n, 6, 2, rng)
+                    family = [rng.sample(range(6), 3)
+                              for _ in range(rng.randint(2, 5))]
+                    inst = RainbowInstance(m, n, family, 3)
+                    dependent += sum(
+                        1 for a in inst.family
+                        if not (m.is_independent(a) and n.is_independent(a)))
+                    for target in range(4):
+                        assert brute_force_rainbow(inst, target) == \
+                            reference_brute_force_rainbow(inst, target)
+                        searches += 1
+        assert searches == 192 and dependent >= 100
+
     def test_drisko_six_proof_calls_bounded(self):
         # The certificate that drisko_instance(6) has no rainbow 6-set.
         # 157554 is the count with forward checking; the plain search
@@ -600,6 +656,20 @@ class TestMaxCommonIndependent:
         m = UniformMatroid(3, 4)
         with pytest.raises(PreconditionError, match=message):
             max_common_independent(m, m, order=order)
+        assert m.independence_calls == 0
+
+    @pytest.mark.parametrize("rank", [True, 1.0, -1, "2"])
+    def test_rank_must_be_a_nonnegative_integer(self, rank):
+        # rank=True would stop the loop at one element, as rank=1 does.
+        m = UniformMatroid(3, 5)
+        with pytest.raises(PreconditionError,
+                           match="is not a nonnegative integer"):
+            max_common_independent(m, m, rank=rank)
+        assert m.independence_calls == 0
+
+    def test_rank_zero_is_the_empty_set(self):
+        m = UniformMatroid(3, 5)
+        assert max_common_independent(m, m, rank=0) == frozenset()
         assert m.independence_calls == 0
 
 

@@ -5,7 +5,7 @@ import itertools
 import json
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +39,7 @@ from rainbowmat import (
 )
 from rainbowmat.lab import drisko_instance, random_instance, random_row_latin
 from rainbowmat.solver import _sweep_for_augmenting_trail
+from test_lab import narrow_search_cases, search_calls
 from test_properties import stuck_states
 
 
@@ -340,6 +341,57 @@ class TestSolve:
             {"digest": inst.digest(), "size": 1, "reason": "forced"}]
 
 
+def reference_cat_search(instance, assignment):
+    """The cat search testing each removal with the predicate: for every r
+    in current and R, whether current + a - r is N-independent."""
+    r_set = assignment.range_set()
+    m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
+    in_span_n = {}
+    free = sorted(set(range(len(instance.family))) - set(assignment.choices))
+    queue = deque([((), r_set, frozenset(), frozenset())])
+    while queue:
+        steps, current, used_src, used_add = queue.popleft()
+        if len(steps) > len(r_set):
+            continue
+        for k in free:
+            if k in used_src:
+                continue
+            for a in sorted(instance.family[k] - r_set - used_add):
+                plus = current | {a}
+                if not m_oracle.is_independent(plus):
+                    continue
+                if n_oracle.is_independent(plus):
+                    return Trail(steps + (TrailStep(k, a, None),), True)
+                if a not in in_span_n:
+                    in_span_n[a] = (not steps or
+                                    not n_oracle.is_independent(r_set | {a}))
+                if not in_span_n[a]:
+                    continue
+                for r in sorted(current & r_set):
+                    nxt = plus - {r}
+                    if n_oracle.is_independent(nxt):
+                        queue.append((steps + (TrailStep(k, a, r),), nxt,
+                                      used_src | {k}, used_add | {a}))
+    return None
+
+
+def census_narrow_instances():
+    """The narrow families of ``TestStuckStateCensus``: random species
+    pairs at n = 3, 4 on n + 3 elements with m = 2..2n - 2, and row-Latin
+    arrays at n = 3..5 with m = n..2n - 2."""
+    pairs = (("uniform", "partition"), ("partition", "partition"),
+             ("partition", "graphic"), ("graphic", "graphic"),
+             ("graphic", "linear"), ("linear", "linear"))
+    rng = random.Random(11)
+    narrow = [random_instance(a, b, n, m, seed, ground_size=n + 3)
+              for a, b in pairs for n in (3, 4)
+              for m in range(2, 2 * n - 1) for seed in range(4)]
+    narrow += [encode_array(random_row_latin(n, m, rng))
+               for n in (3, 4, 5) for m in range(n, 2 * n - 1)
+               for _ in range(3)]
+    return narrow
+
+
 class TestExhaustiveCatSearch:
     @pytest.mark.parametrize("instance, choices, trail", [
         (drisko_instance(4), {0: 0, 1: 5, 2: 10}, None),
@@ -360,6 +412,39 @@ class TestExhaustiveCatSearch:
 
         monkeypatch.setattr(MatroidOracle, "span", no_span)
         assert solver.exhaustive_cat_search(instance, assignment) == trail
+
+    def test_circuit_removals_match_the_predicate_search(self):
+        # Over the stuck states of the narrow families of test_lab and of
+        # the census, the removals read off C_N(current, a) give the
+        # reference's trail (or its None) with fewer calls in total.  A
+        # state can cost one call more: the entry test of R, paid when
+        # every root addition fails in M.
+        instances = list(narrow_search_cases()) + census_narrow_instances()
+        states, hits, totals = 0, 0, Counter()
+        for inst in instances:
+            for assignment in stuck_states(inst, cap=10):
+                want, plain = search_calls(inst, reference_cat_search,
+                                           assignment)
+                got, hooked = search_calls(
+                    inst, solver.exhaustive_cat_search, assignment)
+                assert got == want, (inst.digest(), assignment.choices)
+                assert hooked <= plain + 1, (inst.digest(),
+                                             assignment.choices)
+                states += 1
+                hits += want is not None
+                totals["plain"] += plain
+                totals["hooked"] += hooked
+        print(f"\n{states} states, {hits} hits, {dict(totals)}")
+        assert states >= 1500 and hits >= 400
+        assert totals["hooked"] < totals["plain"]
+
+    def test_dependent_range_rejected(self):
+        # The removals are circuit elements only when R is N-independent.
+        inst = RainbowInstance(UniformMatroid(3, 4), UniformMatroid(1, 4),
+                               ({0, 1}, {2, 3}, {1, 2}), 2)
+        with pytest.raises(PreconditionError, match="dependent in N"):
+            solver.exhaustive_cat_search(
+                inst, RainbowAssignment({0: 0, 1: 2}))
 
 
 def reference_validate_trail(instance, assignment, trail):
