@@ -183,8 +183,8 @@ def parse_rows(doc):
     rows = _list(doc, "rows", "rows")
     if not rows:
         raise InstanceFormatError("rows: expected at least one row")
-    return [[_integer(v, f"rows[{i}]")
-             for v in _list(row, "integers", f"rows[{i}]")]
+    return [[_integer(v, f"rows[{i}][{j}]")
+             for j, v in enumerate(_list(row, "integers", f"rows[{i}]"))]
             for i, row in enumerate(rows)]
 
 

@@ -523,6 +523,11 @@ def solve(instance):
     validated it already.  With at least 2n-1 family sets the sweep alone
     reaches size n; smaller families may come back infeasible, certified by
     brute force.
+
+    The solved set is not tested again at the end: every path to size n
+    has just tested it.  ``apply_trail`` validates each assignment it
+    builds, the greedy seed's last test was its final set, and brute force
+    tested its last pick against the others.
     """
     from .lab import max_rainbow  # local import to avoid a cycle
 
@@ -560,6 +565,4 @@ def solve(instance):
     stats.oracle_calls_m = calls_after["M"] - calls_before["M"]
     stats.oracle_calls_n = calls_after["N"] - calls_before["N"]
     status = "solved" if assignment.size() == instance.n else "infeasible"
-    if status == "solved":
-        assignment.validate(instance)
     return SolveResult(status, assignment, stats, instance.n)

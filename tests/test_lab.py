@@ -86,6 +86,68 @@ def reference_brute_force_rainbow(instance, target):
     return None
 
 
+def forward_checking_reference(instance, target):
+    """The forward-checking search without learned parallel pairs: every
+    element not settled at the root is tested against the used set in
+    each list it is narrowed in."""
+    if target < 0 or target > instance.n:
+        raise PreconditionError("target must lie between 0 and n")
+    if target == 0:
+        return RainbowAssignment({})
+    m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
+    choices = {}
+
+    def narrowed(used, lists, need, addable):
+        open_lists = sum(1 for listed in lists if listed)
+        out = []
+        for listed in lists:
+            kept = []
+            for x in listed:
+                if x in used:
+                    continue
+                if x not in addable:
+                    grown = used | {x}
+                    addable[x] = (m_oracle.is_independent(grown)
+                                  and n_oracle.is_independent(grown))
+                if addable[x]:
+                    kept.append(x)
+            if listed and not kept:
+                open_lists -= 1
+                if open_lists < need:
+                    return None
+            out.append(kept)
+        return out
+
+    def dfs(idx, used, lists):
+        need = target - len(choices)
+        if need == 0:
+            return True
+        if sum(1 for listed in lists if listed) < need:
+            return False
+        for a in lists[0]:
+            grown = used | {a}
+            later = narrowed(grown, lists[1:], need - 1, {})
+            if later is None:
+                continue
+            choices[idx] = a
+            if dfs(idx + 1, grown, later):
+                return True
+            del choices[idx]
+        return dfs(idx + 1, used, lists[1:])
+
+    root = {}
+    for a in instance.family:
+        if (not a <= root.keys() and m_oracle.is_independent(a)
+                and n_oracle.is_independent(a)):
+            root.update(dict.fromkeys(a, True))
+    empty = frozenset()
+    lists = narrowed(empty, [sorted(a) for a in instance.family], target,
+                     root)
+    if lists is not None and dfs(0, empty, lists):
+        return RainbowAssignment(dict(choices))
+    return None
+
+
 def relabelled_drisko(n, rng):
     """drisko_instance(n) with its rows, columns and symbols shuffled."""
     rows = ([list(range(1, n + 1))] * (n - 1)
@@ -114,6 +176,20 @@ def narrow_search_cases():
         for m in range(n, 2 * n - 1):
             for _ in range(4):
                 yield encode_array(random_row_latin(n, m, rng).rows)
+
+
+def random_dependent_families():
+    """Families of random 3-sets of random oracles at n = 3, most of them
+    dependent in one matroid or both: 48 instances."""
+    rng = random.Random(29)
+    for species_m in SPECIES:
+        for species_n in SPECIES:
+            for _ in range(3):
+                m = random_oracle(species_m, 6, 2, rng)
+                n = random_oracle(species_n, 6, 2, rng)
+                family = [rng.sample(range(6), 3)
+                          for _ in range(rng.randint(2, 5))]
+                yield RainbowInstance(m, n, family, 3)
 
 
 def search_calls(instance, search, target):
@@ -192,34 +268,90 @@ class TestBruteForce:
         assert found >= 9
 
     def test_random_dependent_families_agree(self):
-        # Families of random 3-sets of random oracles, most of them
-        # dependent in one matroid or both.
-        rng = random.Random(29)
         searches = dependent = 0
-        for species_m in SPECIES:
-            for species_n in SPECIES:
-                for _ in range(3):
-                    m = random_oracle(species_m, 6, 2, rng)
-                    n = random_oracle(species_n, 6, 2, rng)
-                    family = [rng.sample(range(6), 3)
-                              for _ in range(rng.randint(2, 5))]
-                    inst = RainbowInstance(m, n, family, 3)
-                    dependent += sum(
-                        1 for a in inst.family
-                        if not (m.is_independent(a) and n.is_independent(a)))
-                    for target in range(4):
-                        assert brute_force_rainbow(inst, target) == \
-                            reference_brute_force_rainbow(inst, target)
-                        searches += 1
+        for inst in random_dependent_families():
+            m, n = inst.m_oracle, inst.n_oracle
+            dependent += sum(
+                1 for a in inst.family
+                if not (m.is_independent(a) and n.is_independent(a)))
+            for target in range(4):
+                assert brute_force_rainbow(inst, target) == \
+                    reference_brute_force_rainbow(inst, target)
+                searches += 1
         assert searches == 192 and dependent >= 100
+
+    def test_learned_pairs_never_cost_calls(self):
+        # A learned pair only drops a test whose answer it settles, and
+        # only a failing test learns: the same answer as the search without
+        # pairs at every target, never more calls, and fewer in total over
+        # the searches that find nothing.
+        rng = random.Random(31)
+        cases = itertools.chain(
+            narrow_search_cases(), random_dependent_families(),
+            (relabelled_drisko(n, rng) for n in (3, 4, 5, 6)))
+        searches, misses = 0, Counter()
+        for inst in cases:
+            for target in range(inst.n + 1):
+                want, before = search_calls(
+                    inst, forward_checking_reference, target)
+                got, after = search_calls(inst, brute_force_rainbow, target)
+                assert got == want, (inst.digest(), target)
+                assert after <= before, (inst.digest(), target)
+                if want is None:
+                    misses["before"] += before
+                    misses["after"] += after
+                searches += 1
+        assert searches == 875
+        assert misses["after"] < misses["before"]
+
+    def test_larger_circuits_are_not_learned(self):
+        # Edges 0, 1, 2 form a triangle and edge 3 hangs off it.  Picking 0
+        # then 1 finds 2 dependent with circuit {0, 1}: 0 and 2 are not
+        # parallel, so 2 stays a candidate once 3 replaces 1, and the first
+        # hit takes it.
+        m = GraphicMatroid(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        inst = RainbowInstance(m, UniformMatroid(4, 4), ({0}, {1, 3}, {2}), 3)
+        want = RainbowAssignment({0: 0, 1: 3, 2: 2})
+        assert reference_brute_force_rainbow(inst, 3) == want
+        assert brute_force_rainbow(inst, 3) == want
+
+    def test_parallel_pair_learned_once_then_skipped(self, monkeypatch):
+        # Elements 0 and 1 share a capacity-one block of M, so they are
+        # parallel.  The root settles both singletons in 4 calls.  Picking
+        # 0 for set 0 tests 1 against {0}: M fails, in 1 call, and the
+        # circuit {0} records the pair.  With set 0 left out, set 1 picks 0
+        # and 1 is dropped without a call: 5 calls where the search without
+        # pairs makes 6, and one circuit asked for.
+        m = PartitionMatroid([0, 0], [1])
+        inst = RainbowInstance(m, UniformMatroid(2, 2), ({0}, {0}, {1}), 2)
+        asked = []
+        real = PartitionMatroid._circuit
+
+        def counted(oracle, i, x):
+            asked.append((oracle, i, x))
+            return real(oracle, i, x)
+
+        monkeypatch.setattr(PartitionMatroid, "_circuit", counted)
+        assert search_calls(inst, forward_checking_reference, 2) == (None, 6)
+        assert asked == []
+        assert search_calls(inst, brute_force_rainbow, 2) == (None, 5)
+        assert asked == [(m, frozenset({0}), 1)]
 
     def test_drisko_six_proof_calls_bounded(self):
         # The certificate that drisko_instance(6) has no rainbow 6-set.
-        # 157554 is the count with forward checking; the plain search
-        # makes 397890.
+        # 86726 is the count with learned parallel pairs; forward checking
+        # alone makes 157454 and the plain search 397890.
         inst = drisko_instance(6)
         assert brute_force_rainbow(inst, 6) is None
-        assert sum(inst.oracle_calls().values()) <= 157554
+        assert sum(inst.oracle_calls().values()) <= 86726
+
+    def test_relabelled_drisko_five_proof_calls_bounded(self):
+        # Relabelling changes the scan order, not the answer.  6706 is the
+        # count with learned parallel pairs; forward checking alone makes
+        # 12496 and the plain search 21360.
+        inst = relabelled_drisko(5, random.Random(5))
+        assert brute_force_rainbow(inst, 5) is None
+        assert sum(inst.oracle_calls().values()) <= 6706
 
 
 class TestDrisko:
