@@ -2,7 +2,9 @@
 
 Each harness draws random oracles of one species, searches for inputs that
 satisfy the relevant hypotheses (rejection sampling; only accepted cases
-count toward the quota), and records any counterexample found.  Each
+count toward the quota), and records any counterexample found.  The fact
+harnesses check the matroid facts the solver rests on; the extender
+harness checks each species' extension tester against the predicate.  Each
 accepted case is folded, with its oracle's ``describe()``, into a digest,
 so two versions of the library can be shown to draw the same cases.
 """
@@ -16,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from .lab import HypothesisError, check_lemma3, random_oracle
+from .matroids import ParallelLiftMatroid
 
 
 @dataclass
@@ -256,18 +259,71 @@ def run_lemma3_harness(species, cases, seed):
     return result
 
 
+def _counters(oracle):
+    """The call counters of oracle and of every lift base below it."""
+    out = [oracle.independence_calls]
+    while isinstance(oracle, ParallelLiftMatroid):
+        oracle = oracle.base
+        out.append(oracle.independence_calls)
+    return out
+
+
+def run_extender_harness(species, cases, seed):
+    """Extension testers: for a base B, the species tester and that of a
+    lift over the oracle answer every x of the ground set, x in B included,
+    as ``is_independent(B | {x})`` does, and move every counter, the lift
+    base's included, as that call does.  Oracles of 8 elements, lifts of
+    10; B is a random independent set or a random subset, often
+    dependent."""
+    rng = random.Random(seed)
+    result = HarnessResult("extender", species, 0)
+    while result.accepted < cases:
+        oracle = random_oracle(species, 8, 1, rng)
+        lift = ParallelLiftMatroid([rng.randrange(8) for _ in range(10)],
+                                   oracle)
+        for _ in range(4):
+            target = rng.choice((oracle, lift))
+            ground = range(target.ground_size)
+            if rng.random() < 0.5:
+                base = _random_independent(target, rng, len(ground))
+            else:
+                base = frozenset(rng.sample(ground, rng.randint(0, 5)))
+            case = {"lift": target is lift, "base": sorted(base)}
+            extends = target._extender(base)
+            for x in ground:
+                before = _counters(target)
+                got = extends(x)
+                mid = _counters(target)
+                want = target.is_independent(base | {x})
+                after = _counters(target)
+                if got != want:
+                    result.failures.append({**case, "x": x,
+                                            "why": "answer differs"})
+                if ([b - a for a, b in zip(before, mid)]
+                        != [b - a for a, b in zip(mid, after)]):
+                    result.failures.append({**case, "x": x,
+                                            "why": "counters differ"})
+            result.accept(target, case)
+            if result.accepted >= cases:
+                break
+    return result
+
+
+#: Every harness, in the order ``run_all`` runs them and numbers their
+#: seeds; a new harness goes last, so the others keep their cases.
 HARNESSES = {
     "fact1": run_fact1_harness,
     "fact2": run_fact2_harness,
     "fact3": run_fact3_harness,
     "lemma3": run_lemma3_harness,
+    "extender": run_extender_harness,
 }
 
 
 def run_all(species_list, cases, seed):
     """Run every harness for every species; returns a list of results."""
     results = []
-    for h_idx, (name, fn) in enumerate(sorted(HARNESSES.items())):
+    for h_idx, (name, fn) in enumerate(HARNESSES.items()):
         for s_idx, species in enumerate(species_list):
             results.append(fn(species, cases, seed + 1000 * s_idx + 101 * h_idx))
     return results

@@ -28,6 +28,16 @@ and for the rest of the call neither is tested beside the other.  Only
 pairs are kept: a larger circuit settles only supersets of itself, which
 the search seldom meets again.
 
+Both searches ask "is B + x independent?" of one B for many x, through the
+oracles' extension testers (``MatroidOracle.extender``), which read B once.
+Each narrowing of ``brute_force_rainbow`` builds an M and an N tester of
+its used set, each when first asked: on the relabelled Drisko families
+more than half of the testers an eager build makes are never asked.
+``_augmenting_path`` builds one tester per matroid for its current set
+and asks every source and sink test through them.  A tester counts each
+answer as the predicate call it replaces, so every count and answer is
+the predicate's.
+
 Generation stops as soon as its answer is settled.  ``random_instance``
 learns the common rank from its first search and passes it to every later
 one, which stops at that size instead of making a last search that must
@@ -187,7 +197,12 @@ def brute_force_rainbow(instance, target):
     the narrow families of the tests, and took more time than it saved.
     A pair settles only answers the test would give, so the lists, the
     first hit and every None stay the same; the built-in species answer
-    the hook without a predicate call, so no search makes more calls."""
+    the hook without a predicate call, so no search makes more calls.
+
+    A hit returns at the pick that completes it: that pick was tested
+    addable to the used set when its list was narrowed, so the later lists
+    need no narrowing.  A search that proves None never reaches that
+    pick."""
     if target < 0 or target > instance.n:
         raise PreconditionError("target must lie between 0 and n")
     if target == 0:
@@ -197,12 +212,15 @@ def brute_force_rainbow(instance, target):
     # The elements known parallel to each element, in M or in N.
     partners = {}
 
-    def is_addable(used, x):
-        # used is common independent, so a failed test proves both
+    def is_addable(used, x, testers):
+        # testers holds each matroid's tester of used, built when first
+        # asked.  used is common independent, so a failed test proves both
         # preconditions of that matroid's circuit hook.
-        grown = used | {x}
         for oracle in (m_oracle, n_oracle):
-            if not oracle.is_independent(grown):
+            extends = testers.get(oracle)
+            if extends is None:
+                extends = testers[oracle] = oracle.extender(used)
+            if not extends(x):
                 circuit = oracle._circuit(used, x)
                 if len(circuit) == 1:
                     (e,) = circuit
@@ -217,6 +235,7 @@ def brute_force_rainbow(instance, target):
         # none with a known partner in used; None as soon as fewer than
         # need lists can stay non-empty.
         open_lists = sum(1 for listed in lists if listed)
+        testers = {}
         out = []
         for listed in lists:
             kept = []
@@ -225,7 +244,7 @@ def brute_force_rainbow(instance, target):
                     continue
                 if x not in addable:
                     addable[x] = (used.isdisjoint(partners.get(x, ()))
-                                  and is_addable(used, x))
+                                  and is_addable(used, x, testers))
                 if addable[x]:
                     kept.append(x)
             if listed and not kept:
@@ -243,6 +262,10 @@ def brute_force_rainbow(instance, target):
         if sum(1 for listed in lists if listed) < need:
             return False
         for a in lists[0]:
+            if need == 1:
+                # a was tested addable to used: the pick completes a hit.
+                choices[idx] = a
+                return True
             grown = used | {a}
             later = narrowed(grown, lists[1:], need - 1, {})
             if later is None:
@@ -297,10 +320,11 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
     asked about twice."""
     s = frozenset(current)
     outside = [y for y in order if y not in s]
+    extends_m1, extends_m2 = m1.extender(s), m2.extender(s)
 
     def is_source(y):
         # A source is a root of the search: it gets parent None.
-        if m1.is_independent(s | {y}):
+        if extends_m1(y):
             parent[y] = None
             return True
         m1_spanned.add(y)
@@ -310,7 +334,7 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
         # Asked only when the search reaches y, at most once per call.
         if y in m2_spanned:
             return False
-        if m2.is_independent(s | {y}):
+        if extends_m2(y):
             return True
         m2_spanned.add(y)
         return False

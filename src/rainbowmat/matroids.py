@@ -19,6 +19,23 @@ endpoints a set touches, allocating nothing per vertex of the graph; the
 linear kernel inserts columns into a GF(p) basis and stops at the first zero
 residue.
 
+An extension tester answers the question the searches ask most: for one
+fixed base B, is B + x independent, for many x?  ``extender(base)``
+returns a one-argument tester built by the species hook ``_extender``,
+which reads B's structure once: its size (uniform), its block counts
+(partition), the roots of its forest (graphic), its reduced GF(p) basis
+(linear), or its value set and the base oracle's tester (lift).  Each
+answer is exactly ``is_independent(base | {x})`` and counts as that call:
+one on the oracle, and for a lift one more on the base oracle when the
+values are distinct.  The hook is total: a dependent B refuses every x,
+and x in B answers whether B is independent.  The predicate-only base
+version is the reference.  When ``is_independent`` has been replaced, on
+the class or on the oracle (a tracing or counting wrapper), ``extender``
+returns the reference, so the replacement still sees every question.
+Testers serve where one base meets many questions: the exact search's
+used sets, the cat search's trail states and R, and the exchange-graph
+search's current set.
+
 Augmentation and circuit elimination each make one pass: an element
 dependent on a set stays dependent on every larger one, and an element
 needed for a circuit in a pool is needed in every smaller pool.
@@ -203,6 +220,28 @@ class MatroidOracle:
         plus = i | {x}
         return frozenset(a for a in i if self.is_independent(plus - {a}))
 
+    def extender(self, base):
+        """A tester x -> ``is_independent(base | {x})`` for frozenset base
+        and x in the ground set, counted as that call: the species hook's,
+        unless ``is_independent`` has been replaced on the class or on
+        this oracle, in which case the reference asks the replacement."""
+        if getattr(self.is_independent, "__func__", None) is _PREDICATE:
+            return self._extender(base)
+        return MatroidOracle._extender(self, base)
+
+    def _extender(self, base):
+        """Species hook of ``extender``: total, with no precondition on
+        base.  This version asks the predicate once per answer and is the
+        reference every species override is tested against."""
+        return lambda x: self.is_independent(base | {x})
+
+    def _refuser(self):
+        """The tester of a dependent base: every superset is dependent."""
+        def refuses(x):
+            self.independence_calls += 1
+            return False
+        return refuses
+
     def augment_from(self, i, j):
         """Elements of j \\ i that extend i to an independent set of size |j|,
         chosen by repeated single-element augmentation, lowest id first.
@@ -264,6 +303,10 @@ class MatroidOracle:
         return frozenset(pool)
 
 
+#: The library's own predicate, which the species testers stand in for.
+_PREDICATE = MatroidOracle.is_independent
+
+
 class UniformMatroid(MatroidOracle):
     """Independent iff at most rank_cap elements."""
 
@@ -282,6 +325,15 @@ class UniformMatroid(MatroidOracle):
     def _circuit(self, i, x):
         # i + x is dependent only when i is already full.
         return i
+
+    def _extender(self, base):
+        # base + x holds one element more than base unless x is in it.
+        size, cap = len(base), self.rank_cap
+
+        def extends(x):
+            self.independence_calls += 1
+            return size + (x not in base) <= cap
+        return extends
 
     def describe(self):
         return {"type": "uniform", "rank": self.rank_cap,
@@ -327,6 +379,24 @@ class PartitionMatroid(MatroidOracle):
         b = self.block_of[x]
         return frozenset(a for a in i if self.block_of[a] == b)
 
+    def _extender(self, base):
+        # Each block's count in base; x fits when its block has room.
+        block_of, capacity = self.block_of, self.capacity
+        counts = {}
+        for a in base:
+            b = block_of[a]
+            counts[b] = counts.get(b, 0) + 1
+            if counts[b] > capacity[b]:
+                return self._refuser()
+
+        def extends(x):
+            self.independence_calls += 1
+            if x in base:
+                return True
+            b = block_of[x]
+            return counts.get(b, 0) < capacity[b]
+        return extends
+
     def describe(self):
         return {"type": "partition", "block_of": list(self.block_of),
                 "capacity": list(self.capacity)}
@@ -358,9 +428,13 @@ class GraphicMatroid(MatroidOracle):
         self.edges = edges
 
     def _independent(self, s):
-        # Union-find over the endpoints s touches: a vertex is a root when it
-        # is not a key, so a call allocates nothing per vertex of the graph.
-        # Each find halves its path; a loop edge has u == v at once.
+        return self._forest(s) is not None
+
+    def _forest(self, s):
+        """Union-find over the endpoints s touches, as a parent map; None
+        as soon as an edge closes a cycle.  A vertex is a root when it is
+        not a key, so a call allocates nothing per vertex of the graph.
+        Each find halves its path; a loop edge has u == v at once."""
         parent = {}
         edges = self.edges
         for x in s:
@@ -376,9 +450,32 @@ class GraphicMatroid(MatroidOracle):
                     w = parent[v] = parent[w]
                 v = w
             if u == v:
-                return False
+                return None
             parent[u] = v
-        return True
+        return parent
+
+    def _extender(self, base):
+        # The root of every vertex base's forest touches; a vertex it does
+        # not touch is a tree of its own.  x extends the forest when its
+        # endpoints lie in different trees.
+        parent = self._forest(base)
+        if parent is None:
+            return self._refuser()
+        root = {}
+        for u in parent:
+            r = u
+            while r in parent:
+                r = parent[r]
+            root[u] = r
+        edges = self.edges
+
+        def extends(x):
+            self.independence_calls += 1
+            if x in base:
+                return True
+            u, v = edges[x]
+            return root.get(u, u) != root.get(v, v)
+        return extends
 
     def _circuit(self, i, x):
         """The path joining x's endpoints in the forest i; empty for a
@@ -441,29 +538,52 @@ class LinearMatroid(MatroidOracle):
         self.columns = columns
 
     def _independent(self, s):
-        # Insert each column into a basis of rows, each with a 1 at its own
-        # pivot and a 0 at the pivots of the rows before it; a column whose
-        # residue is zero lies in the span of the columns before it.
+        return self._basis(s) is not None
+
+    def _basis(self, s):
+        """s's columns inserted into a basis of rows, each with a 1 at its
+        own pivot and a 0 at the pivots of the rows before it; None as soon
+        as a column's residue is zero, that is, when it lies in the span of
+        the columns before it."""
         if len(s) > self.dimension:
-            return False
+            return None
         p = self.prime
         basis = []
         for x in s:
-            v = self.columns[x]
-            for pivot, row in basis:
-                f = v[pivot]
-                if f:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
+            v = self._residue(self.columns[x], basis)
             for pivot, a in enumerate(v):
                 if a:
                     break
             else:
-                return False
+                return None
             if a != 1:
                 inv = pow(a, p - 2, p)
                 v = [b * inv % p for b in v]
             basis.append((pivot, v))
-        return True
+        return basis
+
+    def _residue(self, v, basis):
+        """Column v reduced by each row of basis in turn: zero exactly
+        when v lies in their span."""
+        p = self.prime
+        for pivot, row in basis:
+            f = v[pivot]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        return v
+
+    def _extender(self, base):
+        # base's basis, built once; x extends it when its residue is not
+        # zero.
+        basis = self._basis(base)
+        if basis is None:
+            return self._refuser()
+        columns = self.columns
+
+        def extends(x):
+            self.independence_calls += 1
+            return x in base or any(self._residue(columns[x], basis))
+        return extends
 
     def _circuit(self, i, x):
         """The support of x's coordinates on the columns of i, read off one
@@ -528,6 +648,24 @@ class ParallelLiftMatroid(MatroidOracle):
             return frozenset({element_of[value]})
         return frozenset(element_of[v] for v in
                          self.base._circuit(frozenset(element_of), value))
+
+    def _extender(self, base):
+        # base's values must be distinct; then x must bring a new value (a
+        # copy of one in base is parallel to it) that extends them in the
+        # base oracle, whose tester counts that call.
+        value_of = self.value_of
+        values = frozenset(value_of[a] for a in base)
+        if len(values) != len(base):
+            return self._refuser()
+        extends_values = self.base.extender(values)
+
+        def extends(x):
+            self.independence_calls += 1
+            value = value_of[x]
+            if value in values and x not in base:
+                return False
+            return extends_values(value)
+        return extends
 
     def describe(self):
         return {"type": "lift", "value_of": list(self.value_of),

@@ -23,6 +23,19 @@ set and are computed per round.  ``validate_trail``, called by
 uses the same test.  The cat search reads each addition's removals off its
 N-circuit, from the species hook, instead of testing every element of R.
 
+The cat search asks its membership questions through extension testers
+(``MatroidOracle.extender``), which read a set once and then answer
+"is set + x independent?" for each x, each answer counted as the
+predicate call it replaces: an M and an N tester per trail state it
+extends, and one N tester on R for its span_N(R) test.  The sweep
+(``span`` for its two filters, the candidate and closing tests) and
+``greedy_seed`` still ask the predicate.  A
+scratch prototype that routed ``span`` through testers ran drisko_flip
+about 2-3x faster, but the benchmark keeps every pass's records in
+memory, so a program that fast runs more passes and reads as a memory
+regression.  Those adopters wait for the benchmark to aggregate its
+passes.
+
 ``solve`` validates every instance it is given, except one that
 ``fileio.parse_instance_doc`` has just built and validated: that instance
 is marked by ``RainbowInstance._validate_once``, and nothing else is.
@@ -463,6 +476,7 @@ def exhaustive_cat_search(instance, assignment):
     # Whether each addition a lies in span_N(R): R is N-independent and a
     # lies outside it, so that is R + a being N-dependent.
     in_span_n = {}
+    extends_r = n_oracle.extender(r_set)
     free = sorted(set(range(len(instance.family))) - set(assignment.choices))
     max_len = len(r_set) + 1
     queue = deque([((), r_set, frozenset(), frozenset())])
@@ -470,21 +484,23 @@ def exhaustive_cat_search(instance, assignment):
         steps, current, used_src, used_add = queue.popleft()
         if len(steps) >= max_len:
             continue
+        extends_m = m_oracle.extender(current)
+        extends_n = n_oracle.extender(current)
         for k in free:
             if k in used_src:
                 continue
             for a in sorted(instance.family[k] - r_set - used_add):
-                plus = current | {a}
-                if not m_oracle.is_independent(plus):
+                if not extends_m(a):
                     continue
-                if n_oracle.is_independent(plus):
+                if extends_n(a):
                     return Trail(steps + (TrailStep(k, a, None),), True)
                 if a not in in_span_n:
-                    # At the root plus is R + a, just found N-dependent.
-                    in_span_n[a] = (not steps or
-                                    not n_oracle.is_independent(r_set | {a}))
+                    # At the root current is R, and R + a was just found
+                    # N-dependent.
+                    in_span_n[a] = not steps or not extends_r(a)
                 if not in_span_n[a]:
                     continue  # no removal can restore span_N equality
+                plus = current | {a}
                 for r in sorted(n_oracle._circuit(current, a) & r_set):
                     queue.append((steps + (TrailStep(k, a, r),), plus - {r},
                                   used_src | {k}, used_add | {a}))

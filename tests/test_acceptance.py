@@ -22,7 +22,7 @@ from rainbowmat import (
     solve,
 )
 from rainbowmat.fileio import default_names
-from rainbowmat.harness import run_all
+from rainbowmat.harness import HARNESSES, run_all
 from rainbowmat.lab import SPECIES, random_oracle, random_row_latin
 
 PAIRS = [
@@ -162,7 +162,7 @@ def test_criterion_5_brute_force_agreement(corpus_random, corpus_latin):
 
 def test_criterion_6_fact_harnesses():
     results = run_all(SPECIES, cases=1000, seed=0)
-    assert len(results) == 4 * len(SPECIES)
+    assert len(results) == len(HARNESSES) * len(SPECIES)
     for res in results:
         assert res.accepted >= 1000
         assert res.ok, (res.name, res.species, res.failures[:3])

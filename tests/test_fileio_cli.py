@@ -24,6 +24,8 @@ from rainbowmat import (
 )
 from rainbowmat.cli import main
 from rainbowmat.fileio import MAX_LIFT_DEPTH
+from rainbowmat.harness import HARNESSES
+from rainbowmat.lab import SPECIES
 from test_lab import count_validations
 
 SAMPLE = {
@@ -495,5 +497,5 @@ class TestCli:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[2] != outs[1]
         lines = outs[0].splitlines()
-        assert len(lines) == 16
+        assert len(lines) == len(HARNESSES) * len(SPECIES)
         assert all(", ok, digest " in line for line in lines)

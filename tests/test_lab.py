@@ -11,6 +11,7 @@ import pytest
 from rainbowmat import (
     GraphicMatroid,
     LatinArray,
+    LinearMatroid,
     PartitionMatroid,
     PreconditionError,
     RainbowAssignment,
@@ -192,6 +193,28 @@ def random_dependent_families():
                 yield RainbowInstance(m, n, family, 3)
 
 
+def triangle_families():
+    """Families of random 3-sets at n = 3 whose M is full of triangles
+    (three-element circuits): 8 edges on 4 vertices, or 8 nonzero columns
+    in GF(2)^3 or GF(3)^3.  N is a random oracle of each species: 96
+    instances."""
+    rng = random.Random(37)
+    for species_n in SPECIES:
+        for _ in range(12):
+            edges = [rng.sample(range(4), 2) for _ in range(8)]
+            prime = rng.choice((2, 3))
+            columns = []
+            while len(columns) < 8:
+                col = [rng.randrange(prime) for _ in range(3)]
+                if any(col):
+                    columns.append(col)
+            for m in (GraphicMatroid(4, edges), LinearMatroid(prime, columns)):
+                n = random_oracle(species_n, 8, 3, rng)
+                family = [rng.sample(range(8), 3)
+                          for _ in range(rng.randint(3, 5))]
+                yield RainbowInstance(m, n, family, 3)
+
+
 def search_calls(instance, search, target):
     """The answer of one search and the independence calls it made."""
     before = sum(instance.oracle_calls().values())
@@ -303,6 +326,45 @@ class TestBruteForce:
                 searches += 1
         assert searches == 875
         assert misses["after"] < misses["before"]
+
+    def test_triangle_families_match_the_plain_search(self):
+        # A two-element circuit taken for a parallel pair drops elements
+        # the search needs; over families full of triangles some target
+        # shows it.
+        searches = hits = 0
+        for inst in triangle_families():
+            for target in range(inst.n + 1):
+                want = reference_brute_force_rainbow(inst, target)
+                assert brute_force_rainbow(inst, target) == want, (
+                    inst.digest(), target)
+                searches += 1
+                hits += want is not None
+        assert searches == 384 and 100 < hits < 384
+
+    def test_hits_return_at_the_completing_pick(self):
+        # The pick that completes a hit was tested addable already, so the
+        # search returns there without narrowing the later lists.  17661
+        # is the count over the hitting searches of narrow_search_cases;
+        # narrowing after that pick made 22618.
+        searches = calls = 0
+        for inst in narrow_search_cases():
+            for target in range(inst.n + 1):
+                out, made = search_calls(inst, brute_force_rainbow, target)
+                if out is not None:
+                    searches += 1
+                    calls += made
+        assert searches == 649
+        assert calls <= 17661
+
+    @pytest.mark.parametrize("n, bound", [(4, 61), (5, 130), (6, 240),
+                                          (7, 401)])
+    def test_drisko_hit_below_n_calls_bounded(self, n, bound):
+        # Drisko families hold a rainbow (n - 1)-set; narrowing after the
+        # completing pick made 64 / 134 / 245 / 407 calls at n = 4..7.
+        inst = drisko_instance(n)
+        out, made = search_calls(inst, brute_force_rainbow, n - 1)
+        assert out.size() == n - 1
+        assert made <= bound
 
     def test_larger_circuits_are_not_learned(self):
         # Edges 0, 1, 2 form a triangle and edge 3 hangs off it.  Picking 0

@@ -468,3 +468,112 @@ class TestKernels:
             tracemalloc.stop()
         assert answers == [True, True, True, False]
         assert peak < 64 * 1024
+
+
+def counters(oracle):
+    """The call counters of oracle and of every lift base below it."""
+    out = [oracle.independence_calls]
+    while isinstance(oracle, ParallelLiftMatroid):
+        oracle = oracle.base
+        out.append(oracle.independence_calls)
+    return out
+
+
+def random_lift(oracle, rng):
+    """A lift of oracle onto up to 8 elements; values repeat often, so
+    parallel copies are common."""
+    size = rng.randint(0, 8) if oracle.ground_size else 0
+    return ParallelLiftMatroid(
+        [rng.randrange(oracle.ground_size) for _ in range(size)], oracle)
+
+
+class TestExtenders:
+    """Each species' extension tester must answer every (base, x) pair as
+    ``is_independent(base | {x})`` does and move every counter, a lift
+    base's included, as that call does; bases run over every subset, so
+    dependent bases and x in the base are covered."""
+
+    UNIFORM_CASES = [UniformMatroid(0, 3), UniformMatroid(2, 5),
+                     UniformMatroid(6, 4)]
+    PARTITION_CASES = [PartitionMatroid([], []),
+                       PartitionMatroid([0, 1, 0, 2, 1], [1, 2, 0]),
+                       PartitionMatroid([1, 1, 1, 0, 0, 1], [1, 2])]
+
+    @staticmethod
+    def assert_extends(oracle):
+        for base in all_subsets(oracle.ground_size):
+            before = counters(oracle)
+            extends = oracle._extender(base)
+            assert counters(oracle) == before, "building asked the oracle"
+            for x in range(oracle.ground_size):
+                before = counters(oracle)
+                got = extends(x)
+                mid = counters(oracle)
+                want = oracle.is_independent(base | {x})
+                after = counters(oracle)
+                where = (oracle.describe(), sorted(base), x)
+                assert got == want, where
+                assert ([b - a for a, b in zip(before, mid)]
+                        == [b - a for a, b in zip(mid, after)]), where
+
+    @pytest.mark.parametrize("oracle", UNIFORM_CASES + PARTITION_CASES
+                             + TestKernels.GRAPHIC_CASES
+                             + TestKernels.LINEAR_CASES,
+                             ids=lambda m: m.species)
+    def test_named_cases(self, oracle):
+        self.assert_extends(oracle)
+
+    @pytest.mark.parametrize("oracle", UNIFORM_CASES + PARTITION_CASES
+                             + TestKernels.GRAPHIC_CASES
+                             + TestKernels.LINEAR_CASES,
+                             ids=lambda m: m.species)
+    def test_lifts_of_named_cases(self, oracle):
+        rng = random.Random(oracle.ground_size)
+        lift = random_lift(oracle, rng)
+        self.assert_extends(lift)
+        self.assert_extends(random_lift(lift, rng))
+
+    def test_random_oracles(self):
+        rng = random.Random(20142)
+        seen = set()
+        for _ in range(40):
+            for oracle in (random_graphic(rng), random_linear(rng),
+                           *(random_oracle(species, 7, 1, rng)
+                             for species in ("uniform", "partition"))):
+                if oracle.species == "linear":
+                    seen.add(oracle.prime)
+                self.assert_extends(oracle)
+                self.assert_extends(random_lift(oracle, rng))
+        assert seen == set(PRIMES)
+
+    def test_replaced_predicate_sees_every_question(self, monkeypatch):
+        # A wrapper on the oracle, or on the class, is asked every question
+        # a tester answers, through the reference tester.
+        base = PartitionMatroid([0, 0, 1], [1, 1])
+        lift = ParallelLiftMatroid([0, 1, 2, 2], base)
+        asked = []
+        real = lift.is_independent
+
+        def recording(s):
+            asked.append(frozenset(s))
+            return real(s)
+
+        monkeypatch.setattr(lift, "is_independent", recording)
+        extends = lift.extender(frozenset({0}))
+        assert [extends(x) for x in range(4)] == [True, False, True, True]
+        assert asked == [{0}, {0, 1}, {0, 2}, {0, 3}]
+        assert counters(lift) == [4, 4]
+
+        base = PartitionMatroid([0, 0, 1], [1, 1])
+        lift = ParallelLiftMatroid([0, 1, 2, 2], base)
+        wrapped = []
+        predicate = matroids.MatroidOracle.is_independent
+
+        def counted(oracle, s):
+            wrapped.append(oracle)
+            return predicate(oracle, s)
+
+        monkeypatch.setattr(matroids.MatroidOracle, "is_independent", counted)
+        extends = lift.extender(frozenset({2}))
+        assert [extends(x) for x in range(4)] == [True, True, True, False]
+        assert wrapped == [lift, base, lift, base, lift, base, lift]

@@ -18,7 +18,7 @@ from rainbowmat import (
     validate_trail,
 )
 from rainbowmat import solver
-from rainbowmat.harness import run_all
+from rainbowmat.harness import HARNESSES, run_all
 from rainbowmat.lab import SPECIES, random_oracle, random_row_latin
 from rainbowmat.solver import _sweep_for_augmenting_trail
 from rainbowmat.matroids import (
@@ -127,7 +127,7 @@ class TestSolverAgainstBruteForce:
 class TestHarnessSweep:
     def test_all_facts_all_species_small(self):
         results = run_all(SPECIES, cases=60, seed=9)
-        assert len(results) == 4 * len(SPECIES)
+        assert len(results) == len(HARNESSES) * len(SPECIES)
         for res in results:
             assert res.ok, (res.name, res.species, res.failures)
             assert res.accepted > 0
