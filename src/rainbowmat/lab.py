@@ -229,12 +229,12 @@ def brute_force_rainbow(instance, target):
                 return False
         return True
 
-    def narrowed(used, lists, need, addable):
+    def narrowed(used, lists, open_lists, need, addable):
         # Each list cut to the elements still addable to used, each distinct
         # element tested once (addable holds the answers known so far) and
-        # none with a known partner in used; None as soon as fewer than
-        # need lists can stay non-empty.
-        open_lists = sum(1 for listed in lists if listed)
+        # none with a known partner in used, with the count of non-empty
+        # lists (open_lists on entry); None as soon as fewer than need
+        # lists can stay non-empty.
         testers = {}
         out = []
         for listed in lists:
@@ -252,14 +252,14 @@ def brute_force_rainbow(instance, target):
                 if open_lists < need:
                     return None
             out.append(kept)
-        return out
+        return out, open_lists
 
-    def dfs(idx, used, lists):
-        # lists[k] holds the addable elements of family set idx + k.
+    def dfs(idx, used, lists, open_lists):
+        # lists[k] holds the addable elements of family set idx + k, and
+        # open_lists of them are non-empty.  need >= 1: the root's target
+        # is, and a pick with need 1 returns.
         need = target - len(choices)
-        if need == 0:
-            return True
-        if sum(1 for listed in lists if listed) < need:
+        if open_lists < need:
             return False
         for a in lists[0]:
             if need == 1:
@@ -267,14 +267,14 @@ def brute_force_rainbow(instance, target):
                 choices[idx] = a
                 return True
             grown = used | {a}
-            later = narrowed(grown, lists[1:], need - 1, {})
+            later = narrowed(grown, lists[1:], open_lists - 1, need - 1, {})
             if later is None:
                 continue
             choices[idx] = a
-            if dfs(idx + 1, grown, later):
+            if dfs(idx + 1, grown, *later):
                 return True
             del choices[idx]
-        return dfs(idx + 1, used, lists[1:])
+        return dfs(idx + 1, used, lists[1:], open_lists - bool(lists[0]))
 
     # At the root, heredity settles every element of a set independent in
     # both matroids; a dependent set's elements are tested one by one.
@@ -284,9 +284,9 @@ def brute_force_rainbow(instance, target):
                 and n_oracle.is_independent(a)):
             root.update(dict.fromkeys(a, True))
     empty = frozenset()
-    lists = narrowed(empty, [sorted(a) for a in instance.family], target,
-                     root)
-    if lists is not None and dfs(0, empty, lists):
+    lists = [sorted(a) for a in instance.family]
+    later = narrowed(empty, lists, sum(1 for a in lists if a), target, root)
+    if later is not None and dfs(0, empty, *later):
         return RainbowAssignment(dict(choices))
     return None
 

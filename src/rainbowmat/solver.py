@@ -5,11 +5,18 @@ R-elements reachable by alternating trails one sweep round at a time, and
 augments whenever an augmenting trail appears.  Deterministic lowest-id
 tie-breaking everywhere, so identical inputs give identical runs.
 
-The sweep runs the paper's counting argument: a fresh set meets
-span_M(R - reachable) and span_N(reachable) in at most |R| < n elements,
-so each round reaches a new R-element or augments, and a sweep uses at
-most |R| + 1 <= n fresh sets.  On 2n - 1 sets a stall raises
-``TheoremViolationError``; cat search and brute force serve smaller ones.
+The sweep runs the paper's counting argument, which holds for every
+family size.  A fresh set is a common independent n-set, so it meets
+span_M(R - reachable) and span_N(reachable) in at most |R| < n elements:
+each round reaches a new R-element or augments.  Once every R-element is
+reachable, the augmentation axiom gives the closing round an element
+with R + a N-independent, and the round augments.  So a round returns or
+raises: a round with no candidate, or no closing element, raises
+``TheoremViolationError``, since no instance that passes ``validate()``
+allows it.  A sweep uses at most |R| + 1 <= n fresh sets, and the only
+way it stops without a trail is running out of them.  On 2n - 1 sets
+that raises ``TheoremViolationError``; cat search and brute force serve
+smaller families.
 
 No span of R itself is ever computed, by the sweep, the trail check or the
 cat search.  R is independent in both matroids, and for x outside R, x lies
@@ -29,12 +36,7 @@ The cat search asks its membership questions through extension testers
 predicate call it replaces: an M and an N tester per trail state it
 extends, and one N tester on R for its span_N(R) test.  The sweep
 (``span`` for its two filters, the candidate and closing tests) and
-``greedy_seed`` still ask the predicate.  A
-scratch prototype that routed ``span`` through testers ran drisko_flip
-about 2-3x faster, but the benchmark keeps every pass's records in
-memory, so a program that fast runs more passes and reads as a memory
-regression.  Those adopters wait for the benchmark to aggregate its
-passes.
+``greedy_seed`` still ask the predicate.
 
 ``solve`` validates every instance it is given, except one that
 ``fileio.parse_instance_doc`` has just built and validated: that instance
@@ -59,7 +61,8 @@ class TrailStructureError(ValueError):
 
 
 class TheoremViolationError(RuntimeError):
-    """A failed sweep invariant, or a stall on 2n - 1 sets: a solver bug."""
+    """A failed sweep invariant or a stall on 2n - 1 sets: a solver bug,
+    unless the instance cannot pass ``RainbowInstance.validate``."""
 
 
 @dataclass(frozen=True)
@@ -161,15 +164,20 @@ class Trail:
 
 @dataclass
 class SweepState:
-    """Per-sweep bookkeeping: reachable R-elements, one witness trail per
-    reachable element, and the family indices not yet processed.
+    """Per-sweep bookkeeping: one witness trail per reachable R-element, and
+    the family indices not yet processed.
 
     A state belongs to one sweep over one R: pass every round the same
     assignment, and start a new state after an augmentation."""
 
-    reachable: set = field(default_factory=set)
     witness: dict = field(default_factory=dict)
     fresh: list = field(default_factory=list)
+
+    @property
+    def reachable(self):
+        """The reachable R-elements: a read-only view of the witnessed
+        ones."""
+        return self.witness.keys()
 
 
 @dataclass(frozen=True)
@@ -183,17 +191,11 @@ class Augment:
     trail: Trail
 
 
-@dataclass(frozen=True)
-class Stalled:
-    reason: str
-
-
 @dataclass
 class SolveStats:
     fast_path_augments: int = 0
     cat_search_augments: int = 0
     brute_force_used: bool = False
-    fallback_events: list = field(default_factory=list)
     oracle_calls_m: int = 0
     oracle_calls_n: int = 0
 
@@ -279,10 +281,9 @@ def validate_trail(instance, assignment, trail):
             if step.removed in seen_rem:
                 raise TrailStructureError(
                     f"step {pos}: removed element {step.removed} reused")
+            seen_rem.add(step.removed)
         seen_src.add(step.source)
         seen_add.add(step.added)
-        if step.removed is not None:
-            seen_rem.add(step.removed)
 
     if not steps:
         return True
@@ -349,13 +350,6 @@ def _applied_keep_last(r_set, prefix):
     return (r_set | added) - removed
 
 
-def _check_witnesses(state):
-    """Raise when a reachable element has no witness trail."""
-    for x in sorted(state.reachable):
-        if x not in state.witness:
-            raise PreconditionError(f"reachable element {x} has no witness")
-
-
 def _candidate_branch(instance, state, k, a, r_set):
     """The sweep result for candidate a of fresh set k, which lies outside
     span_M(R - reachable) and span_N(reachable): so its N-circuit has an
@@ -412,16 +406,21 @@ def _candidate_branch(instance, state, k, a, r_set):
     return NewReachable(r_new, Trail(prefix + (TrailStep(k, a, r_new),), False))
 
 
-def sweep_round(instance, assignment, state):
-    """Process the next fresh set: its first candidate that passes the span
-    filters yields a newly reachable R-element with its witness trail, or an
-    augmenting trail."""
+def _next_fresh(instance, assignment, state):
+    """Pop the fresh set a round processes, after the rounds' shared
+    preconditions."""
     if assignment.size() >= instance.n:
         raise PreconditionError("assignment already reached the target size")
     if not state.fresh:
         raise PreconditionError("no fresh set left to process")
-    _check_witnesses(state)
-    k = state.fresh.pop(0)
+    return state.fresh.pop(0)
+
+
+def sweep_round(instance, assignment, state):
+    """Process the next fresh set: its first candidate that passes the span
+    filters yields a newly reachable R-element with its witness trail, or an
+    augmenting trail."""
+    k = _next_fresh(instance, assignment, state)
     r_set = assignment.range_set()
     span_m_rest = instance.m_oracle.span(r_set - state.reachable)
     span_n_reach = instance.n_oracle.span(state.reachable)
@@ -429,33 +428,31 @@ def sweep_round(instance, assignment, state):
     for a in sorted(instance.family[k] - r_set):
         if a not in span_m_rest and a not in span_n_reach:
             return _candidate_branch(instance, state, k, a, r_set)
-    return Stalled(f"no usable candidate in set {k}")
+    raise TheoremViolationError(f"set {k} has no candidate; no instance "
+                                "that passes validate() allows that")
 
 
-def close_round(instance, assignment, state, final_index):
-    """Once every R-element is reachable, one more set yields an augmenting
-    trail: the first a_n with R + a_n N-independent (the augmentation axiom)
-    spliced onto the witness of a clashing M-circuit element."""
+def close_round(instance, assignment, state):
+    """Once every R-element is reachable, the next fresh set yields an
+    augmenting trail: its first a_n with R + a_n N-independent (the
+    augmentation axiom) spliced onto the witness of a clashing M-circuit
+    element."""
     r_set = assignment.range_set()
-    if frozenset(state.reachable) != r_set:
+    if state.reachable != r_set:
         raise PreconditionError("close_round requires every R-element reachable")
-    if assignment.size() >= instance.n:
-        raise PreconditionError("assignment already reached the target size")
-    if final_index in assignment.choices:
-        raise PreconditionError("the closing set is already used as a source")
-    _check_witnesses(state)
+    k = _next_fresh(instance, assignment, state)
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
 
-    for a_n in sorted(instance.family[final_index] - r_set):
+    for a_n in sorted(instance.family[k] - r_set):
         if not n_oracle.is_independent(r_set | {a_n}):
             continue
         prefix = ()
         if not m_oracle.is_independent(r_set | {a_n}):
             c_m = m_oracle.fundamental_circuit(r_set, a_n)
             prefix = _rewind_prefix(state.witness[min(c_m)], c_m)
-        return Augment(Trail(prefix + (TrailStep(final_index, a_n, None),),
-                             True))
-    return Stalled(f"no closing element in set {final_index}")
+        return Augment(Trail(prefix + (TrailStep(k, a_n, None),), True))
+    raise TheoremViolationError(f"set {k} has no closing element; no "
+                                "instance that passes validate() allows that")
 
 
 def exhaustive_cat_search(instance, assignment):
@@ -508,28 +505,20 @@ def exhaustive_cat_search(instance, assignment):
 
 
 def _sweep_for_augmenting_trail(instance, assignment):
-    """Run sweep rounds until an augmenting trail appears.
-
-    Returns (trail, None) on success, (None, reason) on a stall.
-    """
+    """Run sweep rounds until an augmenting trail appears; None when the
+    fresh sets run out first."""
     unused = sorted(set(range(len(instance.family))) - set(assignment.choices))
     state = SweepState(fresh=list(unused))
     r_set = assignment.range_set()
-    while True:
-        if frozenset(state.reachable) == r_set:
-            if not state.fresh:
-                return None, "no fresh set left for the closing round"
-            result = close_round(instance, assignment, state, state.fresh[0])
-        elif not state.fresh:
-            return None, "fresh sets exhausted before covering R"
+    while state.fresh:
+        if state.reachable == r_set:
+            result = close_round(instance, assignment, state)
         else:
             result = sweep_round(instance, assignment, state)
-        if isinstance(result, Stalled):
-            return None, result.reason
         if isinstance(result, Augment):
-            return result.trail, None
-        state.reachable.add(result.element)
+            return result.trail
         state.witness[result.element] = result.trail
+    return None
 
 
 def solve(instance):
@@ -554,19 +543,14 @@ def solve(instance):
     assignment = greedy_seed(instance)
 
     while assignment.size() < instance.n:
-        trail, stall_reason = _sweep_for_augmenting_trail(instance, assignment)
+        trail = _sweep_for_augmenting_trail(instance, assignment)
         if trail is not None:
             stats.fast_path_augments += 1
         elif len(instance.family) >= 2 * instance.n - 1:
-            raise TheoremViolationError(
-                f"the sweep stalled ({stall_reason}) although the family has "
-                f"2n-1 sets; instance digest {instance.digest()}")
+            raise TheoremViolationError("the sweep stalled on 2n-1 sets; "
+                                        f"instance digest {instance.digest()}")
         else:
-            stats.fallback_events.append(
-                {"digest": instance.digest(), "size": assignment.size(),
-                 "reason": stall_reason})
-            logger.warning("fast path stalled (%s); falling back",
-                           stall_reason)
+            logger.warning("fast path ran out of fresh sets; falling back")
             trail = exhaustive_cat_search(instance, assignment)
             if trail is None:
                 break

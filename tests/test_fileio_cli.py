@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -45,6 +46,8 @@ MALFORMED = {
     "string_row": ("family", ["ac", ["b", "c"], ["a", "c"]],
                    r"family\[0\]: expected a list"),
     "family_not_list": ("family", 5, "family: expected a list"),
+    "repeated_element": ("family", [["a", "a"], ["b", "c"], ["a", "c"]],
+                         r"family\[0\]: repeated element"),
     "rank_not_integer": ("matroid_M", {"type": "uniform", "rank": "x"},
                          "matroid_M.rank: expected an integer"),
     "one_endpoint_edge": ("matroid_M",
@@ -316,6 +319,7 @@ class TestCli:
         assert main(["solve", "--in", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert re.search(MALFORMED[case][2], err), err
         assert "Traceback" not in err
 
     def test_generate_then_solve(self, tmp_path):
@@ -456,6 +460,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert (f"error: argument {command[-1]}: expected a nonnegative "
                 f"integer, got '{count}'") in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--n", "2", "--m", "3"],
+        ["stress", "--n", "2", "--m", "3", "--count", "1"]],
+        ids=["generate", "stress"])
+    def test_unknown_species_rejected(self, command, capsys):
+        assert main(command + ["--species", "foo,bar"]) == 1
+        captured = capsys.readouterr()
+        assert ("error: argument --species: expected two of "
+                f"{'/'.join(SPECIES)} separated by a comma") in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

@@ -8,7 +8,6 @@ import pytest
 from rainbowmat import (
     Augment,
     RainbowAssignment,
-    Stalled,
     apply_trail,
     brute_force_rainbow,
     drisko_instance,
@@ -213,8 +212,8 @@ class TestStuckStateCensus:
         lengths = []
         for inst in instances:
             for assignment in stuck_states(inst, cap=100):
-                trail, reason = _sweep_for_augmenting_trail(inst, assignment)
-                assert trail is not None, (inst.digest(), reason)
+                trail = _sweep_for_augmenting_trail(inst, assignment)
+                assert trail is not None, inst.digest()
                 grown = apply_trail(inst, assignment, trail)
                 assert grown.size() == assignment.size() + 1
                 lengths.append(len(trail.steps))
@@ -224,11 +223,11 @@ class TestStuckStateCensus:
 
     def test_rounds_never_stall_and_build_valid_trails(self, sweep_rounds):
         # The rounds return their first candidate's result and check
-        # nothing themselves.  By the counting argument no round stalls on
-        # a common independent n-set, and every trail a round builds must
-        # pass validate_trail; a narrow family (m < 2n - 1) may only run
-        # out of fresh sets.  Started from stuck states, so the rounds
-        # rewind witnesses.
+        # nothing themselves.  By the counting argument a round on a
+        # common independent n-set returns (it raises otherwise), and
+        # every trail a round builds must pass validate_trail; a narrow
+        # family (m < 2n - 1) may only run out of fresh sets.  Started
+        # from stuck states, so the rounds rewind witnesses.
         pairs = (("uniform", "partition"), ("partition", "partition"),
                  ("partition", "graphic"), ("graphic", "graphic"),
                  ("graphic", "linear"), ("linear", "linear"))
@@ -245,24 +244,25 @@ class TestStuckStateCensus:
                       for seed in range(20, 24)]
         guaranteed += [encode_array(random_row_latin(n, 2 * n - 1, rng))
                        for n in (3, 4, 5) for _ in range(4)]
-        reasons = Counter()
+        narrow_found = Counter()
         for inst in narrow:
             for assignment in stuck_states(inst, cap=30):
-                _, reason = _sweep_for_augmenting_trail(inst, assignment)
-                reasons[reason] += 1
+                trail = _sweep_for_augmenting_trail(inst, assignment)
+                narrow_found[trail is not None] += 1
         for inst in guaranteed:
             for assignment in stuck_states(inst, cap=30):
-                trail, reason = _sweep_for_augmenting_trail(inst, assignment)
-                assert trail is not None, (inst.digest(), reason)
+                trail = _sweep_for_augmenting_trail(inst, assignment)
+                assert trail is not None, inst.digest()
         kinds, lengths = Counter(), Counter()
         for inst, assignment, result in sweep_rounds:
-            assert not isinstance(result, Stalled), (inst.digest(), result)
             assert validate_trail(inst, assignment, result.trail), result
             kinds[type(result).__name__] += 1
             lengths[len(result.trail.steps)] += 1
-        print(f"\n{dict(reasons)} {dict(kinds)} {sorted(lengths.items())}")
-        assert set(reasons) == {None, "fresh sets exhausted before covering R",
-                                "no fresh set left for the closing round"}
+        print(f"\n{dict(narrow_found)} {dict(kinds)} "
+              f"{sorted(lengths.items())}")
+        # Narrow stuck states sometimes run out of fresh sets; guaranteed
+        # ones never do.
+        assert set(narrow_found) == {True, False}
         assert kinds["NewReachable"] >= 2000 and kinds["Augment"] >= 500
         assert max(lengths) >= 4
 
@@ -277,9 +277,9 @@ class TestStuckStateCensus:
         branches = Counter()
 
         def recorded(name, real):
-            def round_(instance, assignment, state, *args):
-                k = args[0] if args else state.fresh[0]
-                result = real(instance, assignment, state, *args)
+            def round_(instance, assignment, state):
+                k = state.fresh[0]
+                result = real(instance, assignment, state)
                 branches[round_branch(name, k, result)] += 1
                 return result
             return round_
@@ -297,10 +297,9 @@ class TestStuckStateCensus:
                                                ground_size=ground)
                         for stuck in stuck_states(inst, cap=30):
                             for assignment in [stuck] + dropped_one(stuck):
-                                trail, reason = _sweep_for_augmenting_trail(
+                                trail = _sweep_for_augmenting_trail(
                                     inst, assignment)
-                                assert trail is not None, (inst.digest(),
-                                                           reason)
+                                assert trail is not None, inst.digest()
                                 apply_trail(inst, assignment, trail)
         print(f"\n{dict(branches)}")
         assert set(branches) == {

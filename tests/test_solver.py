@@ -21,7 +21,6 @@ from rainbowmat import (
     PreconditionError,
     RainbowAssignment,
     RainbowInstance,
-    Stalled,
     SweepState,
     TheoremViolationError,
     Trail,
@@ -70,7 +69,7 @@ def forced_stall(monkeypatch):
         return layer
 
     monkeypatch.setattr(solver, "_sweep_for_augmenting_trail",
-                        lambda instance, assignment: (None, "forced"))
+                        lambda instance, assignment: None)
     monkeypatch.setattr(solver, "exhaustive_cat_search",
                         counted("cat", solver.exhaustive_cat_search))
     monkeypatch.setattr(lab, "max_rainbow", counted("brute", lab.max_rainbow))
@@ -164,9 +163,13 @@ class TestApplyTrail:
         out = run_python(
             "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
             f"{tests / 'test_solver.py'}::TestApplyTrail::"
-            "test_size_preserving_trail_is_a_theorem_violation")
+            "test_size_preserving_trail_is_a_theorem_violation",
+            f"{tests / 'test_solver.py'}::TestSweepRound::"
+            "test_round_without_candidate_raises",
+            f"{tests / 'test_solver.py'}::TestCloseRound::"
+            "test_round_without_closing_element_raises")
         assert out.returncode == 0, out.stdout + out.stderr
-        assert "1 passed" in out.stdout
+        assert "3 passed" in out.stdout
 
 
 class TestSweepRound:
@@ -182,29 +185,25 @@ class TestSweepRound:
         out = sweep_round(uniform_instance, r, state)
         assert out == Augment(Trail((TrailStep(1, 2, None),), True))
 
-    def test_stalled_when_candidates_exhausted(self):
-        # family set inside R: only possible when the instance invariants
-        # are broken, so construct it unvalidated
+    def test_round_without_candidate_raises(self):
+        # A family set inside R: only possible when the instance invariants
+        # are broken, so construct it unvalidated.  By the counting
+        # argument a set that passes validate() always has a candidate.
         m = UniformMatroid(3, 3)
         inst = RainbowInstance(m, UniformMatroid(3, 3), ({0}, {0}), 2)
+        with pytest.raises(PreconditionError):
+            inst.validate()
         r = RainbowAssignment({0: 0})
-        out = sweep_round(inst, r, SweepState(fresh=[1]))
-        assert isinstance(out, Stalled)
-
-    def test_rejects_reachable_without_witness(self, cell_instance):
-        r = RainbowAssignment({0: 0})
-        state = SweepState(reachable={0}, fresh=[1])
-        with pytest.raises(PreconditionError, match="element 0 has no"):
-            sweep_round(cell_instance, r, state)
-        assert state.fresh == [1]
+        with pytest.raises(TheoremViolationError,
+                           match="set 1 has no candidate.*validate"):
+            sweep_round(inst, r, SweepState(fresh=[1]))
 
     def test_witness_missing_its_removal_is_a_theorem_violation(
             self, cell_instance):
         # Cell 4 shares column 0 with cell 0, so the round rewinds the
         # witness of 0, which never removes 0.
         r = RainbowAssignment({0: 0})
-        state = SweepState(reachable={0}, witness={0: Trail((), False)},
-                           fresh=[2])
+        state = SweepState(witness={0: Trail((), False)}, fresh=[2])
         with pytest.raises(TheoremViolationError, match="removes no element"):
             sweep_round(cell_instance, r, state)
 
@@ -219,13 +218,12 @@ class TestSweepRound:
         state = SweepState(fresh=[3, 4, 5, 6])
         first = sweep_round(inst, r, state)
         assert first == NewReachable(1, Trail((TrailStep(3, 4, 1),), False))
-        state.reachable.add(1)
         state.witness[1] = first.trail
         out = sweep_round(inst, r, state)
         assert out == NewReachable(2, Trail((TrailStep(3, 4, 2),), False))
         assert validate_trail(inst, r, out.trail)
-        trail, reason = _sweep_for_augmenting_trail(inst, r)
-        assert reason is None and trail.augmenting
+        trail = _sweep_for_augmenting_trail(inst, r)
+        assert trail.augmenting
         assert apply_trail(inst, r, trail).size() == 4
         assert solve(inst).assignment.choices == {1: 2, 2: 3, 3: 4, 6: 6}
 
@@ -245,7 +243,6 @@ class TestSweepRound:
         state = SweepState(fresh=[2, 3, 4])
         first = sweep_round(inst, r, state)
         assert first == NewReachable(0, Trail((TrailStep(2, 2, 0),), False))
-        state.reachable.add(0)
         state.witness[0] = first.trail
         out = sweep_round(inst, r, state)
         assert out == NewReachable(1, Trail((TrailStep(2, 2, 1),), False))
@@ -258,36 +255,42 @@ class TestCloseRound:
     def test_witness_extension(self, cell_instance):
         r = RainbowAssignment({0: 0})
         witness = Trail((TrailStep(1, 3, 0),), False)
-        state = SweepState(reachable={0}, witness={0: witness}, fresh=[2])
-        out = close_round(cell_instance, r, state, 2)
+        state = SweepState(witness={0: witness}, fresh=[2])
+        out = close_round(cell_instance, r, state)
         assert out == Augment(
             Trail((TrailStep(1, 3, 0), TrailStep(2, 4, None)), True))
 
     def test_direct_step(self, uniform_instance):
         r = RainbowAssignment({0: 0})
-        state = SweepState(reachable={0},
-                           witness={0: Trail((), False)}, fresh=[1])
-        out = close_round(uniform_instance, r, state, 1)
+        state = SweepState(witness={0: Trail((), False)}, fresh=[1])
+        out = close_round(uniform_instance, r, state)
         assert out == Augment(Trail((TrailStep(1, 2, None),), True))
 
     def test_rejects_partial_reachable(self, cell_instance):
         r = RainbowAssignment({0: 0})
         with pytest.raises(PreconditionError, match="reachable"):
-            close_round(cell_instance, r, SweepState(fresh=[2]), 2)
-
-    def test_rejects_reachable_without_witness(self, cell_instance):
-        r = RainbowAssignment({0: 0})
-        state = SweepState(reachable={0}, fresh=[1])
-        with pytest.raises(PreconditionError, match="element 0 has no"):
-            close_round(cell_instance, r, state, 1)
+            close_round(cell_instance, r, SweepState(fresh=[2]))
 
     def test_witness_missing_its_removal_is_a_theorem_violation(
             self, cell_instance):
         r = RainbowAssignment({0: 0})
-        state = SweepState(reachable={0}, witness={0: Trail((), False)},
-                           fresh=[2])
+        state = SweepState(witness={0: Trail((), False)}, fresh=[2])
         with pytest.raises(TheoremViolationError, match="removes no element"):
-            close_round(cell_instance, r, state, 2)
+            close_round(cell_instance, r, state)
+
+    def test_round_without_closing_element_raises(self):
+        # R + 1 is N-dependent, and set 1 holds nothing else: only possible
+        # when the instance invariants are broken.  By the augmentation
+        # axiom a set that passes validate() always has a closing element.
+        inst = RainbowInstance(UniformMatroid(3, 3), UniformMatroid(1, 3),
+                               ({0}, {1}), 2)
+        with pytest.raises(PreconditionError):
+            inst.validate()
+        r = RainbowAssignment({0: 0})
+        state = SweepState(witness={0: Trail((), False)}, fresh=[1])
+        with pytest.raises(TheoremViolationError,
+                           match="set 1 has no closing element.*validate"):
+            close_round(inst, r, state)
 
 
 class TestSolve:
@@ -328,7 +331,6 @@ class TestSolve:
         # cell_instance has 2n - 1 sets and its greedy seed stops at 1.
         with pytest.raises(TheoremViolationError) as err:
             solve(cell_instance)
-        assert "(forced)" in str(err.value)
         assert cell_instance.digest() in str(err.value)
         assert forced_stall == []
 
@@ -337,8 +339,17 @@ class TestSolve:
         out = solve(inst)
         assert out.status == "infeasible" and out.size() == 1
         assert forced_stall == ["cat", "brute"]
-        assert out.stats.fallback_events == [
-            {"digest": inst.digest(), "size": 1, "reason": "forced"}]
+
+    def test_narrow_stall_rescued_by_cat_search(self):
+        # Four rows of a row-Latin array at n = 3: the greedy seed stops
+        # at {0: 0, 1: 5}, the sweep runs out of fresh sets, and the cat
+        # search finds the augmenting trail, so brute force is not needed.
+        inst = encode_array([(1, 3, 2), (3, 1, 2), (3, 2, 1), (2, 1, 3)])
+        assert greedy_seed(inst).choices == {0: 0, 1: 5}
+        out = solve(inst)
+        assert out.stats.cat_search_augments >= 1
+        assert not out.stats.brute_force_used
+        assert out.size() == lab.max_rainbow(inst).size() == 3
 
 
 def reference_cat_search(instance, assignment):
@@ -405,7 +416,7 @@ class TestExhaustiveCatSearch:
         # sets.  An addition a lies in span_N(R) exactly when R + a is
         # N-dependent, so the search needs no span of R.
         assignment = RainbowAssignment(choices).validate(instance)
-        assert _sweep_for_augmenting_trail(instance, assignment)[0] is None
+        assert _sweep_for_augmenting_trail(instance, assignment) is None
 
         def no_span(self, s):
             raise AssertionError("span computed")
@@ -523,7 +534,6 @@ def reference_sweep_round(instance, assignment, state):
         raise PreconditionError("assignment already reached the target size")
     if not state.fresh:
         raise PreconditionError("no fresh set left to process")
-    solver._check_witnesses(state)
     k = state.fresh.pop(0)
     r_set = assignment.range_set()
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
@@ -535,7 +545,7 @@ def reference_sweep_round(instance, assignment, state):
     a = next((a for a in sorted(instance.family[k] - r_set)
               if a not in span_m_rest and a not in span_n_reach), None)
     if a is None:
-        return Stalled(f"no usable candidate in set {k}")
+        raise TheoremViolationError(f"set {k} has no candidate")
 
     prefix = ()
     if a in span_m_r:
@@ -577,7 +587,7 @@ def test_sweep_round_matches_the_span_reference(monkeypatch):
         if mirror[0] is not state:
             mirror[:] = [state, SpanSweepState()]
         ref = mirror[1]
-        ref.reachable, ref.witness = set(state.reachable), dict(state.witness)
+        ref.witness = dict(state.witness)
         ref.fresh = list(state.fresh)
         k = state.fresh[0]
         before = predicate_calls(instance)
@@ -740,8 +750,7 @@ def test_validate_trail_matches_the_span_reference(sweep_rounds):
                 start = len(sweep_rounds)
                 _sweep_for_augmenting_trail(instance, assignment)
                 built = [(i, a, result.trail)
-                         for i, a, result in sweep_rounds[start:]
-                         if not isinstance(result, Stalled)]
+                         for i, a, result in sweep_rounds[start:]]
                 cases += built + [(i, a, fault(i, a, t, rng))
                                   for i, a, t in built]
             for dependent in (None, "M", "N"):
