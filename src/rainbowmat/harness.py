@@ -4,7 +4,8 @@ Each harness draws random oracles of one species, searches for inputs that
 satisfy the relevant hypotheses (rejection sampling; only accepted cases
 count toward the quota), and records any counterexample found.  The fact
 harnesses check the matroid facts the solver rests on; the extender
-harness checks each species' extension tester against the predicate.  Each
+harness checks each species' extension tester against the predicate, and
+its rank hook against the greedy rank, without drawing anything more.  Each
 accepted case is folded, with its oracle's ``describe()``, into a digest,
 so two versions of the library can be shown to draw the same cases.
 """
@@ -18,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .lab import HypothesisError, check_lemma3, random_oracle
-from .matroids import ParallelLiftMatroid
+from .matroids import MatroidOracle, ParallelLiftMatroid
 
 
 @dataclass
@@ -272,9 +273,10 @@ def run_extender_harness(species, cases, seed):
     """Extension testers: for a base B, the species tester and that of a
     lift over the oracle answer every x of the ground set, x in B included,
     as ``is_independent(B | {x})`` does, and move every counter, the lift
-    base's included, as that call does.  Oracles of 8 elements, lifts of
-    10; B is a random independent set or a random subset, often
-    dependent."""
+    base's included, as that call does.  The species' ``_rank`` of B and
+    of the ground set must equal the greedy reference's, with no counter
+    moved.  Oracles of 8 elements, lifts of 10; B is a random independent
+    set or a random subset, often dependent."""
     rng = random.Random(seed)
     result = HarnessResult("extender", species, 0)
     while result.accepted < cases:
@@ -289,6 +291,15 @@ def run_extender_harness(species, cases, seed):
             else:
                 base = frozenset(rng.sample(ground, rng.randint(0, 5)))
             case = {"lift": target is lift, "base": sorted(base)}
+            for s in (base, frozenset(ground)):
+                before = _counters(target)
+                rank = target._rank(s)
+                if _counters(target) != before:
+                    result.failures.append({**case, "s": sorted(s),
+                                            "why": "rank asked the oracle"})
+                if rank != MatroidOracle._rank(target, s):
+                    result.failures.append({**case, "s": sorted(s),
+                                            "why": "rank differs"})
             extends = target._extender(base)
             for x in ground:
                 before = _counters(target)

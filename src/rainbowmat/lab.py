@@ -39,11 +39,13 @@ answer as the predicate call it replaces, so every count and answer is
 the predicate's.
 
 Generation stops as soon as its answer is settled.  ``random_instance``
-learns the common rank from its first search and passes it to every later
-one, which stops at that size instead of making a last search that must
-fail.  ``random_oracle`` asks only whether the rank reaches ``min_rank``,
-with a greedy pass that stops once it holds that many elements.  Neither
-rule changes a drawn oracle or a generated set.
+passes the smaller of the two ground ranks to its first search, as an upper
+bound on the common rank: when the common rank meets it, the search stops
+at that size instead of making a last search that must fail.  The first
+search settles the common rank, and every later one stops there.
+``random_oracle`` reads the ground rank off the oracle's structure
+(``MatroidOracle.rank``), with no predicate call.  Neither rule changes a
+drawn oracle or a generated set.
 """
 
 from __future__ import annotations
@@ -446,24 +448,12 @@ def max_common_independent(m1, m2, order=None, *, rank=None):
     return frozenset(current)
 
 
-def _rank_reaches(oracle, rank):
-    """Whether the ground set has rank at least ``rank``: the greedy pass of
-    ``max_independent_subset``, stopped once it holds ``rank`` elements.
-    Greedy's set only grows, so the full pass would reach ``rank`` too."""
-    held = set()
-    for x in range(oracle.ground_size):
-        if len(held) == rank:
-            break
-        held.add(x)
-        if not oracle.is_independent(held):
-            held.discard(x)
-    return len(held) >= rank
-
-
 def random_oracle(species, ground_size, min_rank, rng):
     """Draw a random oracle of the requested species whose ground-set rank is
-    at least min_rank.  The rank probe stops at min_rank, so a draw costs at
-    most one predicate call per ground element and often far fewer."""
+    at least min_rank, which must be at least 1.  A draw is accepted on its
+    species' closed-form rank, so it costs no predicate call."""
+    if min_rank < 1:
+        raise PreconditionError(f"min_rank {min_rank!r} is below 1")
     if min_rank > ground_size:
         raise GenerationError(
             f"no {species} oracle on {ground_size} elements can reach "
@@ -499,7 +489,7 @@ def random_oracle(species, ground_size, min_rank, rng):
             oracle = LinearMatroid(prime, columns)
         else:
             raise PreconditionError(f"unknown species {species!r}")
-        if _rank_reaches(oracle, min_rank):
+        if oracle.rank(range(ground_size)) >= min_rank:
             return oracle
     raise GenerationError(
         f"could not draw a {species} oracle of rank >= {min_rank} "
@@ -513,9 +503,9 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
     preference order, truncated to n elements; by heredity it is common
     independent, so the instance is valid as built.
 
-    The first search settles the common rank.  Below n, the pair is drawn
-    again at once; otherwise every later search stops at that rank, and
-    each oracle draw stops its rank probe at n (see ``random_oracle``)."""
+    The first search is given the smaller ground rank as an upper bound
+    and settles the common rank.  Below n, the pair is drawn again at once;
+    otherwise every later search stops at that rank."""
     if n < 1 or m < 1:
         raise PreconditionError("n and m must be positive")
     g = ground_size if ground_size is not None else 3 * n
@@ -534,7 +524,7 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
             continue
         state = rng.getstate()
         family = []
-        rank = None
+        rank = min(m_oracle.rank(range(g)), n_oracle.rank(range(g)))
         for _ in range(m):
             order = list(range(g))
             rng.shuffle(order)

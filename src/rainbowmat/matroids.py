@@ -8,9 +8,14 @@ is its exact inverse; the file layer only maps it to element names.
 The base class computes every derived operation (rank, span, circuits,
 augmentation) from the independence predicate alone, so a new species plugs
 in without touching the rest of the library.  Each built-in species overrides
-the hook ``_circuit`` with a closed form; the predicate-only base version is
-the tests' reference.  ``fundamental_circuit`` checks that I is independent
-and I + x dependent; package code that has proved both calls ``_circuit``.
+three hooks with a closed form: ``_circuit``, ``_extender`` (below) and
+``_rank``.  The predicate-only base versions are the tests' references.
+``fundamental_circuit`` checks that I is independent and I + x dependent;
+package code that has proved both calls ``_circuit``.  ``rank`` checks its
+input and asks ``_rank``, which reads the rank off the species' structure
+with no predicate call: the capped size (uniform), the capped block counts
+(partition), the size of a spanning forest (graphic), the size of a GF(p)
+basis (linear), or the base rank of the value set (lift).
 
 Each species' predicate ``_independent`` is a kernel below the call counter:
 ``is_independent`` checks the subset and counts the call, so a faster kernel
@@ -182,6 +187,16 @@ class MatroidOracle:
         return frozenset(base)
 
     def rank(self, s):
+        """The size of a maximum independent subset of s."""
+        s = frozenset(s)
+        self._check_subset(s)
+        return self._rank(s)
+
+    def _rank(self, s):
+        """Species hook of ``rank``, unchecked, for a frozenset s of the
+        ground set.  This version is the greedy ``max_independent_subset``,
+        one predicate call per element of s, and is the reference every
+        species override is tested against."""
         return len(self.max_independent_subset(s))
 
     def span(self, s):
@@ -322,6 +337,9 @@ class UniformMatroid(MatroidOracle):
     def _independent(self, s):
         return len(s) <= self.rank_cap
 
+    def _rank(self, s):
+        return min(len(s), self.rank_cap)
+
     def _circuit(self, i, x):
         # i + x is dependent only when i is already full.
         return i
@@ -373,6 +391,14 @@ class PartitionMatroid(MatroidOracle):
             if counts[b] > self.capacity[b]:
                 return False
         return True
+
+    def _rank(self, s):
+        # Each block holds at most its capacity of s.
+        counts = {}
+        for x in s:
+            b = self.block_of[x]
+            counts[b] = counts.get(b, 0) + 1
+        return sum(min(c, self.capacity[b]) for b, c in counts.items())
 
     def _circuit(self, i, x):
         # Only x's block overflows, so only its members in i can make room.
@@ -430,9 +456,14 @@ class GraphicMatroid(MatroidOracle):
     def _independent(self, s):
         return self._forest(s) is not None
 
-    def _forest(self, s):
+    def _rank(self, s):
+        # Each edge joining two trees adds one key to the parent map.
+        return len(self._forest(s, skip_cycles=True))
+
+    def _forest(self, s, skip_cycles=False):
         """Union-find over the endpoints s touches, as a parent map; None
-        as soon as an edge closes a cycle.  A vertex is a root when it is
+        as soon as an edge closes a cycle, or with ``skip_cycles`` the
+        forest of the edges that close none.  A vertex is a root when it is
         not a key, so a call allocates nothing per vertex of the graph.
         Each find halves its path; a loop edge has u == v at once."""
         parent = {}
@@ -450,6 +481,8 @@ class GraphicMatroid(MatroidOracle):
                     w = parent[v] = parent[w]
                 v = w
             if u == v:
+                if skip_cycles:
+                    continue
                 return None
             parent[u] = v
         return parent
@@ -540,12 +573,16 @@ class LinearMatroid(MatroidOracle):
     def _independent(self, s):
         return self._basis(s) is not None
 
-    def _basis(self, s):
+    def _rank(self, s):
+        return len(self._basis(s, skip_dependent=True))
+
+    def _basis(self, s, skip_dependent=False):
         """s's columns inserted into a basis of rows, each with a 1 at its
         own pivot and a 0 at the pivots of the rows before it; None as soon
         as a column's residue is zero, that is, when it lies in the span of
-        the columns before it."""
-        if len(s) > self.dimension:
+        the columns before it, or with ``skip_dependent`` the basis of the
+        columns whose residue is not."""
+        if len(s) > self.dimension and not skip_dependent:
             return None
         p = self.prime
         basis = []
@@ -555,6 +592,8 @@ class LinearMatroid(MatroidOracle):
                 if a:
                     break
             else:
+                if skip_dependent:
+                    continue
                 return None
             if a != 1:
                 inv = pow(a, p - 2, p)
@@ -638,6 +677,10 @@ class ParallelLiftMatroid(MatroidOracle):
         if len(set(values)) != len(values):
             return False
         return self.base.is_independent(values)
+
+    def _rank(self, s):
+        # Parallel copies count once: the rank of s is that of its values.
+        return self.base._rank(frozenset(self.value_of[x] for x in s))
 
     def _circuit(self, i, x):
         """x's parallel copy in i if it has one, else the base circuit of x's

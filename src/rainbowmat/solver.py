@@ -22,21 +22,26 @@ No span of R itself is ever computed, by the sweep, the trail check or the
 cat search.  R is independent in both matroids, and for x outside R, x lies
 in span(R) exactly when R + x is dependent: one predicate call, where a
 full span costs one per ground element.  The sweep asks this only of
-candidates and witness additions, and the cat search of the additions it
-extends a trail with; all lie outside R.  The two spans a round filters
-with, span_M(R - reachable) and span_N(reachable), depend on the reachable
-set and are computed per round.  ``validate_trail``, called by
-``apply_trail`` on every trail it applies, is the one trail check, and it
-uses the same test.  The cat search reads each addition's removals off its
-N-circuit, from the species hook, instead of testing every element of R.
+candidates and witness additions, which lie outside R.  The two spans a
+round filters with, span_M(R - reachable) and span_N(reachable), depend on
+the reachable set and are computed per round, except span_N of an empty
+reachable set: it holds only the loops of N, and no element of a family
+set is a loop, so the round filters with the empty set.
+``validate_trail``, called by ``apply_trail`` on every trail it applies,
+is the one trail check, and it uses the same test.
 
-The cat search asks its membership questions through extension testers
-(``MatroidOracle.extender``), which read a set once and then answer
-"is set + x independent?" for each x, each answer counted as the
-predicate call it replaces: an M and an N tester per trail state it
-extends, and one N tester on R for its span_N(R) test.  The sweep
-(``span`` for its two filters, the candidate and closing tests) and
-``greedy_seed`` still ask the predicate.
+The cat search needs no span test at all.  Each step of its trails adds
+an element a with current + a N-dependent and removes an element of R in
+the N-circuit C_N(current, a), which keeps current N-independent with the
+N-span of R; so an addition N-dependent on a state lies in span_N(R).  It
+reads each addition's removals off that N-circuit, from the species hook,
+instead of testing every element of R, and it asks its membership
+questions through extension testers (``MatroidOracle.extender``), which
+read a set once and then answer "is set + x independent?" for each x,
+each answer counted as the predicate call it replaces: an M and an N
+tester per trail state it extends.  The sweep (``span`` for its two
+filters, the candidate and closing tests) and ``greedy_seed`` still ask
+the predicate.
 
 ``solve`` validates every instance it is given, except one that
 ``fileio.parse_instance_doc`` has just built and validated: that instance
@@ -423,7 +428,9 @@ def sweep_round(instance, assignment, state):
     k = _next_fresh(instance, assignment, state)
     r_set = assignment.range_set()
     span_m_rest = instance.m_oracle.span(r_set - state.reachable)
-    span_n_reach = instance.n_oracle.span(state.reachable)
+    # span_N of no element holds only loops, and no family element is one.
+    span_n_reach = (instance.n_oracle.span(state.reachable)
+                    if state.reachable else frozenset())
 
     for a in sorted(instance.family[k] - r_set):
         if a not in span_m_rest and a not in span_n_reach:
@@ -456,31 +463,26 @@ def close_round(instance, assignment, state):
 
 
 def exhaustive_cat_search(instance, assignment):
-    """Breadth-first search over all valid trails up to length |R| + 1 for an
-    augmenting one.  Independent of the sweep machinery; a fallback for
-    families of fewer than 2n - 1 sets only.
+    """Breadth-first search over all valid trails for an augmenting one.
+    Independent of the sweep machinery; a fallback for families of fewer
+    than 2n - 1 sets only.
 
     R must be N-independent, as in a validated assignment; it is tested
     once, at entry, and an N-dependent R raises ``PreconditionError``.
-    Every set the search extends is then N-independent, so when current + a
-    is N-dependent, current + a - r is N-independent exactly when r lies in
-    the N-circuit C_N(current, a): the removals come from the species
-    circuit hook, with no predicate call per removal."""
+    Every set the search extends is then N-independent with the N-span of R,
+    so when current + a is N-dependent, a lies in span_N(R), and
+    current + a - r is N-independent exactly when r lies in the N-circuit
+    C_N(current, a): the removals come from the species circuit hook, with
+    no predicate call per removal.  Each non-final step removes another
+    element of R, so no trail has more than |R| + 1 steps."""
     r_set = assignment.range_set()
     m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
     if not n_oracle.is_independent(r_set):
         raise PreconditionError("assignment range is dependent in N")
-    # Whether each addition a lies in span_N(R): R is N-independent and a
-    # lies outside it, so that is R + a being N-dependent.
-    in_span_n = {}
-    extends_r = n_oracle.extender(r_set)
     free = sorted(set(range(len(instance.family))) - set(assignment.choices))
-    max_len = len(r_set) + 1
     queue = deque([((), r_set, frozenset(), frozenset())])
     while queue:
         steps, current, used_src, used_add = queue.popleft()
-        if len(steps) >= max_len:
-            continue
         extends_m = m_oracle.extender(current)
         extends_n = n_oracle.extender(current)
         for k in free:
@@ -491,12 +493,6 @@ def exhaustive_cat_search(instance, assignment):
                     continue
                 if extends_n(a):
                     return Trail(steps + (TrailStep(k, a, None),), True)
-                if a not in in_span_n:
-                    # At the root current is R, and R + a was just found
-                    # N-dependent.
-                    in_span_n[a] = not steps or not extends_r(a)
-                if not in_span_n[a]:
-                    continue  # no removal can restore span_N equality
                 plus = current | {a}
                 for r in sorted(n_oracle._circuit(current, a) & r_set):
                     queue.append((steps + (TrailStep(k, a, r),), plus - {r},

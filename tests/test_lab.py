@@ -559,9 +559,12 @@ class TestRandomInstance:
 def test_generation_predicate_calls_bounded(monkeypatch):
     # The primary cost metric of generation, over the grid of
     # test_generated_documents_pinned: every independence test made while
-    # generating, retries included.  6448 is the count with the source test
-    # of each known non-sink deferred until the search needs its queue;
-    # asking M1 about them on every search made 6677, one more failing
+    # generating, retries included.  5516 is the count with the smaller
+    # ground rank passed to the first search, which then stops without its
+    # failing last search whenever the common rank meets that bound; with
+    # the draws accepted on the closed-form rank alone it was 5901, with a
+    # greedy rank probe stopped at n 6448.  Before that, asking M1 about
+    # the known non-sinks on every search made 6677, one more failing
     # search per set and a full-ground probe 9892, fundamental_circuit's
     # re-checks of both preconditions 13322, and listing every source first
     # 27330.
@@ -581,7 +584,7 @@ def test_generation_predicate_calls_bounded(monkeypatch):
         for n in range(2, 6):
             for seed in range(3):
                 random_instance(species_m, species_n, n, 2 * n - 1, seed)
-    assert len(calls) <= 6448
+    assert len(calls) <= 5516
 
 
 def reference_augmenting_path(m1, m2, current, order):
@@ -1043,48 +1046,75 @@ class TestRandomInstanceSearches:
 
 
 class TestRandomOracle:
-    def test_stopped_probe_draws_as_the_full_rank(self, monkeypatch):
-        # The probe stops at min_rank; the reference asks the rank of the
-        # whole ground set.  Same oracles, same retries, same RNG stream,
-        # and never more predicate calls.  Small grounds make draws retry.
-        def draws(probe):
-            monkeypatch.setattr(lab, "_rank_reaches", probe)
-            out, calls = [], 0
+    def test_closed_form_rank_draws_as_the_greedy_rank(self, monkeypatch):
+        # A draw is accepted on its species' closed-form rank; the
+        # reference asks the greedy rank of the whole ground set.  Same
+        # oracles, same retries, same RNG stream, and no predicate call to
+        # accept a draw.  Small grounds make draws retry.
+        asked = []
+
+        def draws():
+            out, calls, rejected = [], 0, 0
             for species in SPECIES:
                 for min_rank in range(1, 6):
                     for g in (min_rank, min_rank + 1, 2 * min_rank + 3):
                         for seed in range(50):
                             rng = random.Random(seed)
+                            asked.clear()
                             try:
                                 oracle = random_oracle(species, g, min_rank,
                                                        rng)
                             except GenerationError as exc:
                                 out.append((str(exc), rng.random()))
-                                continue
-                            out.append((oracle.describe(), rng.random()))
-                            calls += oracle.independence_calls
-            return out, calls
+                            else:
+                                out.append((oracle.describe(), rng.random()))
+                                calls += oracle.independence_calls
+                            rejected += sum(r < min_rank for r in asked)
+            return out, calls, rejected
 
-        probes = Counter()
+        real = MatroidOracle.rank
 
-        def full(oracle, rank):
-            reached = oracle.rank(range(oracle.ground_size)) >= rank
-            probes[reached] += 1
-            return reached
+        def recorded(oracle, s):
+            asked.append(real(oracle, s))
+            return asked[-1]
 
-        stopped = lab._rank_reaches
-        want, full_calls = draws(full)
-        got, stopped_calls = draws(stopped)
+        monkeypatch.setattr(MatroidOracle, "rank", recorded)
+        got, closed_calls, rejected = draws()
+
+        def greedy(oracle, s):
+            asked.append(len(oracle.max_independent_subset(s)))
+            return asked[-1]
+
+        monkeypatch.setattr(MatroidOracle, "rank", greedy)
+        want, greedy_calls, greedy_rejected = draws()
         assert got == want
-        assert probes[False] >= 500
-        assert stopped_calls < full_calls
+        assert rejected == greedy_rejected >= 500
+        assert closed_calls == 0 < greedy_calls
 
-    def test_probe_stops_at_the_rank(self):
-        oracle = UniformMatroid(4, 9)
-        assert lab._rank_reaches(oracle, 2)
-        assert oracle.independence_calls == 2
-        oracle = PartitionMatroid([0, 0, 0, 1], [1, 1])
-        assert not lab._rank_reaches(oracle, 3)
-        assert oracle.independence_calls == 4
-        assert lab._rank_reaches(oracle, 0)
-        assert oracle.independence_calls == 4
+    def test_accepting_a_draw_asks_no_predicate(self, monkeypatch):
+        def refuse(oracle, s):
+            raise AssertionError("the predicate was asked")
+
+        monkeypatch.setattr(MatroidOracle, "is_independent", refuse)
+        rng = random.Random(3)
+        for species in SPECIES:
+            for min_rank in (1, 3, 6):
+                for g in (min_rank, 2 * min_rank + 3):
+                    for _ in range(5):
+                        try:
+                            random_oracle(species, g, min_rank, rng)
+                        except GenerationError:
+                            pass
+
+    @pytest.mark.parametrize("species", SPECIES)
+    @pytest.mark.parametrize("min_rank", [0, -1])
+    def test_min_rank_below_one_rejected_before_any_draw(self, species,
+                                                         min_rank):
+        # Below 1 a partition or graphic draw has an empty range, and a
+        # linear one has columns of no entries, never non-zero.
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(PreconditionError,
+                           match=f"min_rank {min_rank} is below 1"):
+            random_oracle(species, 6, min_rank, rng)
+        assert rng.getstate() == state

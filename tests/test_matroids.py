@@ -204,6 +204,11 @@ class TestRankSpan:
     def test_empty_rank(self, triangle):
         assert triangle.rank(frozenset()) == 0
 
+    def test_rank_checks_its_input(self, triangle):
+        with pytest.raises(PreconditionError, match="outside ground set"):
+            triangle.rank({0, 3})
+        assert triangle.independence_calls == 0
+
     def test_triangle_span_closes_cycle(self, triangle):
         assert triangle.span({0, 1}) == frozenset({0, 1, 2})
 
@@ -479,6 +484,15 @@ def counters(oracle):
     return out
 
 
+def random_partition(rng):
+    """Up to 8 elements in 1..4 blocks of capacity 0..2, so full and empty
+    blocks are common."""
+    blocks = rng.randint(1, 4)
+    return PartitionMatroid(
+        [rng.randrange(blocks) for _ in range(rng.randint(0, 8))],
+        [rng.randint(0, 2) for _ in range(blocks)])
+
+
 def random_lift(oracle, rng):
     """A lift of oracle onto up to 8 elements; values repeat often, so
     parallel copies are common."""
@@ -577,3 +591,42 @@ class TestExtenders:
         extends = lift.extender(frozenset({2}))
         assert [extends(x) for x in range(4)] == [True, True, True, False]
         assert wrapped == [lift, base, lift, base, lift, base, lift]
+
+
+class TestRankHook:
+    """Each species' ``_rank`` must equal the greedy reference
+    ``MatroidOracle._rank`` on every subset, the empty set included, and
+    move no counter, a lift base's included."""
+
+    @staticmethod
+    def assert_ranks(oracle):
+        for s in all_subsets(oracle.ground_size):
+            before = counters(oracle)
+            got = oracle._rank(s)
+            where = (oracle.describe(), sorted(s))
+            assert counters(oracle) == before, where
+            assert got == matroids.MatroidOracle._rank(oracle, s), where
+
+    @pytest.mark.parametrize("oracle", TestExtenders.UNIFORM_CASES
+                             + TestExtenders.PARTITION_CASES
+                             + TestKernels.GRAPHIC_CASES
+                             + TestKernels.LINEAR_CASES,
+                             ids=lambda m: m.species)
+    def test_named_cases(self, oracle):
+        # Capacity-0 blocks, loops, parallel edges and zero columns.
+        self.assert_ranks(oracle)
+        rng = random.Random(oracle.ground_size)
+        lift = random_lift(oracle, rng)
+        self.assert_ranks(lift)
+        self.assert_ranks(random_lift(lift, rng))
+
+    def test_random_oracles(self):
+        rng = random.Random(20143)
+        for _ in range(40):
+            uniform = UniformMatroid(rng.randint(0, 4), rng.randint(0, 8))
+            for oracle in (uniform, random_partition(rng), random_graphic(rng),
+                           random_linear(rng),
+                           *(random_oracle(species, 7, 1, rng)
+                             for species in SPECIES)):
+                self.assert_ranks(oracle)
+                self.assert_ranks(random_lift(oracle, rng))

@@ -17,7 +17,7 @@ from rainbowmat import (
     validate_trail,
 )
 from rainbowmat import solver
-from rainbowmat.harness import HARNESSES, run_all
+from rainbowmat.harness import HARNESSES, run_all, run_extender_harness
 from rainbowmat.lab import SPECIES, random_oracle, random_row_latin
 from rainbowmat.solver import _sweep_for_augmenting_trail
 from rainbowmat.matroids import (
@@ -136,6 +136,19 @@ class TestHarnessSweep:
         b = run_all(("graphic",), cases=40, seed=4)
         assert [(r.name, r.accepted, r.failures, r.digest) for r in a] == \
             [(r.name, r.accepted, r.failures, r.digest) for r in b]
+
+    @pytest.mark.parametrize("wrong, why", [
+        (lambda oracle, s: len(s), "rank differs"),
+        (MatroidOracle._rank, "rank asked the oracle")])
+    def test_extender_harness_checks_the_rank_hook(self, wrong, why,
+                                                   monkeypatch):
+        # A rank that counts cycle edges, or one that asks the predicate,
+        # is reported; the drawn cases stay the same.
+        good = run_extender_harness("graphic", 40, 4)
+        monkeypatch.setattr(GraphicMatroid, "_rank", wrong)
+        bad = run_extender_harness("graphic", 40, 4)
+        assert good.ok and {f["why"] for f in bad.failures} == {why}
+        assert bad.digest == good.digest
 
     def test_digest_follows_the_drawn_cases(self):
         # Another seed draws other cases under the same counts; one case

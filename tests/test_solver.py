@@ -386,6 +386,44 @@ def reference_cat_search(instance, assignment):
     return None
 
 
+def reference_span_tested_cat_search(instance, assignment):
+    """The cat search with two more checks: a trail of more than |R| steps
+    is not extended, and a non-root addition is kept only when R + a is
+    N-dependent, asked of an N tester on R."""
+    r_set = assignment.range_set()
+    m_oracle, n_oracle = instance.m_oracle, instance.n_oracle
+    if not n_oracle.is_independent(r_set):
+        raise PreconditionError("assignment range is dependent in N")
+    in_span_n = {}
+    extends_r = n_oracle.extender(r_set)
+    free = sorted(set(range(len(instance.family))) - set(assignment.choices))
+    max_len = len(r_set) + 1
+    queue = deque([((), r_set, frozenset(), frozenset())])
+    while queue:
+        steps, current, used_src, used_add = queue.popleft()
+        if len(steps) >= max_len:
+            continue
+        extends_m = m_oracle.extender(current)
+        extends_n = n_oracle.extender(current)
+        for k in free:
+            if k in used_src:
+                continue
+            for a in sorted(instance.family[k] - r_set - used_add):
+                if not extends_m(a):
+                    continue
+                if extends_n(a):
+                    return Trail(steps + (TrailStep(k, a, None),), True)
+                if a not in in_span_n:
+                    in_span_n[a] = not steps or not extends_r(a)
+                if not in_span_n[a]:
+                    continue
+                plus = current | {a}
+                for r in sorted(n_oracle._circuit(current, a) & r_set):
+                    queue.append((steps + (TrailStep(k, a, r),), plus - {r},
+                                  used_src | {k}, used_add | {a}))
+    return None
+
+
 def census_narrow_instances():
     """The narrow families of ``TestStuckStateCensus``: random species
     pairs at n = 3, 4 on n + 3 elements with m = 2..2n - 2, and row-Latin
@@ -448,6 +486,32 @@ class TestExhaustiveCatSearch:
         print(f"\n{states} states, {hits} hits, {dict(totals)}")
         assert states >= 1500 and hits >= 400
         assert totals["hooked"] < totals["plain"]
+
+    def test_no_span_test_matches_the_span_tested_search(self):
+        # Every state the search extends has the N-span of R, so an
+        # addition N-dependent on it lies in span_N(R); and each non-final
+        # step removes another element of R, so no trail outgrows
+        # |R| + 1 steps.  Without either check the search gives the
+        # reference's trail (or its None) on every stuck state of the
+        # narrow families of test_lab and of the census, never with more
+        # calls.
+        instances = list(narrow_search_cases()) + census_narrow_instances()
+        states, totals = 0, Counter()
+        for inst in instances:
+            for assignment in stuck_states(inst, cap=10):
+                want, checked = search_calls(
+                    inst, reference_span_tested_cat_search, assignment)
+                got, unchecked = search_calls(
+                    inst, solver.exhaustive_cat_search, assignment)
+                assert got == want, (inst.digest(), assignment.choices)
+                assert unchecked <= checked, (inst.digest(),
+                                              assignment.choices)
+                states += 1
+                totals["checked"] += checked
+                totals["unchecked"] += unchecked
+        print(f"\n{states} states, {dict(totals)}")
+        assert states >= 1500
+        assert totals["unchecked"] < totals["checked"]
 
     def test_dependent_range_rejected(self):
         # The removals are circuit elements only when R is N-independent.
@@ -786,12 +850,13 @@ def test_validate_trail_matches_the_span_reference(sweep_rounds):
 def test_drisko_flip_predicate_calls_bounded():
     # The primary metric on the flip path: every independence test made
     # encoding and solving the 120 single-row extensions of
-    # drisko_instance(5).  48672 is the count with the sweep testing
-    # membership in span_M(R) and span_N(R) by one predicate call each;
-    # computing span_M(R) per round and span_N(R) per sweep made 68928,
-    # checking every round's trail with validate_trail as well made 73200,
-    # and computing span_N(R) in every sweep round and in every trail
-    # check made 110064.
+    # drisko_instance(5).  42960 is the count with no span of an empty
+    # reachable set, which holds only loops; computing it made 48672, with
+    # the sweep testing membership in span_M(R) and span_N(R) by one
+    # predicate call each; computing span_M(R) per round and span_N(R) per
+    # sweep made 68928, checking every round's trail with validate_trail
+    # as well made 73200, and computing span_N(R) in every sweep round and
+    # in every trail check made 110064.
     n = 5
     rows = ([tuple(range(1, n + 1))] * (n - 1)
             + [tuple(range(2, n + 1)) + (1,)] * (n - 1))
@@ -800,7 +865,7 @@ def test_drisko_flip_predicate_calls_bounded():
         instance = encode_array(rows + [perm])
         assert solve(instance).status == "solved"
         total += sum(instance.oracle_calls().values())
-    assert total <= 48672
+    assert total <= 42960
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -808,7 +873,7 @@ def test_flip_predicate_calls_grow_like_n_cubed(n):
     # A flip needs one sweep of about n rounds, each computing two spans
     # over the n(2n - 1) cells.  Three random rows appended in turn to the
     # 2n - 2 Drisko rows: each solve stays within 4n^3 predicate calls
-    # (3.84-3.87 n^3 measured, or 139-281 calls when the greedy seed
+    # (3.53-3.69 n^3 measured, or 137-279 calls when the greedy seed
     # alone reaches size n).
     rng = random.Random(n)
     rows = ([tuple(range(1, n + 1))] * (n - 1)
