@@ -1,13 +1,21 @@
 """Randomized property harnesses for the oracle-level facts.
 
-Each harness draws random oracles of one species, searches for inputs that
-satisfy the relevant hypotheses (rejection sampling; only accepted cases
-count toward the quota), and records any counterexample found.  The fact
-harnesses check the matroid facts the solver rests on; the extender
-harness checks each species' extension tester against the predicate, and
-its rank hook against the greedy rank, without drawing anything more.  Each
-accepted case is folded, with its oracle's ``describe()``, into a digest,
-so two versions of the library can be shown to draw the same cases.
+Each harness is a generator ``_<name>_cases(species, rng)`` that draws
+random oracles of one species, searches for inputs that satisfy the
+relevant hypotheses (rejection sampling), and yields ``(oracle, case,
+failures)`` for each accepted case, where each failure is a dict naming
+what went wrong.  The fact harnesses check the matroid facts the solver
+rests on; the extender harness checks each species' extension tester
+against the predicate, and its rank hook against the greedy rank, without
+drawing anything more.
+
+One driver, ``_harness``, turns a generator into a ``run_<name>_harness``
+function: it seeds the generator's RNG, takes its first ``cases`` yields,
+folds each accepted case, with its oracle's ``describe()``, into a digest,
+so two versions of the library can be shown to draw the same cases, and
+reports each failure merged into its case.  The generator is never resumed
+after the last case it is asked for, so its RNG stream is the same as a
+loop that stops there.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lab import HypothesisError, check_lemma3, random_oracle
 from .matroids import MatroidOracle, ParallelLiftMatroid
@@ -27,25 +35,33 @@ class HarnessResult:
     name: str
     species: str
     accepted: int
-    failures: list = field(default_factory=list)
-    _cases: object = field(default_factory=hashlib.sha256, repr=False,
-                           compare=False)
+    failures: list
+    #: sha256 prefix over every accepted case and its oracle, in order.
+    digest: str
 
     @property
     def ok(self):
         return not self.failures
 
-    @property
-    def digest(self):
-        """sha256 prefix over every accepted case and its oracle, in order."""
-        return self._cases.hexdigest()[:16]
 
-    def accept(self, oracle, case):
-        """Count an accepted case and fold it, with its oracle, into the
-        digest."""
-        self.accepted += 1
-        self._cases.update(json.dumps([oracle.describe(), case],
-                                      sort_keys=True).encode() + b"\n")
+def _harness(name, draw_cases):
+    """The ``run_<name>_harness(species, cases, seed)`` of a case
+    generator: the first ``cases`` cases it yields from
+    ``random.Random(seed)``, digested, with their failures."""
+    def run(species, cases, seed):
+        digest = hashlib.sha256()
+        accepted, failures = 0, []
+        for oracle, case, found in itertools.islice(
+                draw_cases(species, random.Random(seed)), cases):
+            accepted += 1
+            digest.update(json.dumps([oracle.describe(), case],
+                                     sort_keys=True).encode() + b"\n")
+            failures += [{**case, **failure} for failure in found]
+        return HarnessResult(name, species, accepted, failures,
+                             digest.hexdigest()[:16])
+
+    run.__doc__ = draw_cases.__doc__
+    return run
 
 
 def _random_independent(oracle, rng, max_size):
@@ -96,13 +112,11 @@ def _enumerate_circuits(oracle, pool):
     return found
 
 
-def run_fact1_harness(species, cases, seed):
+def _fact1_cases(species, rng):
     """Fundamental circuit: uniqueness inside I + x (exhaustive subset scan)
     and span preservation for every exchangeable element, on oracles of 8
     elements and I of at most 5."""
-    rng = random.Random(seed)
-    result = HarnessResult("fundamental-circuit", species, 0)
-    while result.accepted < cases:
+    while True:
         oracle = random_oracle(species, 8, 1, rng)
         for _ in range(4):
             i = _random_independent(oracle, rng, 5)
@@ -112,30 +126,22 @@ def run_fact1_harness(species, cases, seed):
                 continue
             x = rng.choice(candidates)
             circuit = oracle.fundamental_circuit(i, x)
-            case = {"i": sorted(i), "x": x}
-            all_circuits = _enumerate_circuits(oracle, i | {x})
-            if all_circuits != [circuit | {x}]:
-                result.failures.append({**case, "why": "not the unique circuit"})
+            failures = []
+            if _enumerate_circuits(oracle, i | {x}) != [circuit | {x}]:
+                failures.append({"why": "not the unique circuit"})
             for a in sorted(circuit):
                 swapped = (i | {x}) - {a}
                 if not oracle.is_independent(swapped):
-                    result.failures.append({**case, "a": a,
-                                            "why": "exchange not independent"})
+                    failures.append({"a": a, "why": "exchange not independent"})
                 elif oracle.span(swapped) != span_i:
-                    result.failures.append({**case, "a": a,
-                                            "why": "span not preserved"})
-            result.accept(oracle, case)
-            if result.accepted >= cases:
-                break
-    return result
+                    failures.append({"a": a, "why": "span not preserved"})
+            yield oracle, {"i": sorted(i), "x": x}, failures
 
 
-def run_fact2_harness(species, cases, seed):
+def _fact2_cases(species, rng):
     """Augmentation: the returned elements come from J \\ I, number at least
     |J| - |I|, and extend I independently, on oracles of 10 elements."""
-    rng = random.Random(seed)
-    result = HarnessResult("augmentation", species, 0)
-    while result.accepted < cases:
+    while True:
         oracle = random_oracle(species, 10, 2, rng)
         for _ in range(4):
             j = _random_independent(oracle, rng, oracle.ground_size)
@@ -145,25 +151,20 @@ def run_fact2_harness(species, cases, seed):
             if len(i) >= len(j):
                 continue
             added = oracle.augment_from(i, j)
-            case = {"i": sorted(i), "j": sorted(j)}
+            failures = []
             if not added <= (j - i):
-                result.failures.append({**case, "why": "elements outside J \\ I"})
+                failures.append({"why": "elements outside J \\ I"})
             if len(added) < len(j) - len(i):
-                result.failures.append({**case, "why": "too few elements"})
+                failures.append({"why": "too few elements"})
             if not oracle.is_independent(i | added):
-                result.failures.append({**case, "why": "union dependent"})
-            result.accept(oracle, case)
-            if result.accepted >= cases:
-                break
-    return result
+                failures.append({"why": "union dependent"})
+            yield oracle, {"i": sorted(i), "j": sorted(j)}, failures
 
 
-def run_fact3_harness(species, cases, seed):
+def _fact3_cases(species, rng):
     """Circuit elimination: the witness is a circuit through f avoiding e,
     inside the union of the two inputs, on oracles of 9 elements."""
-    rng = random.Random(seed)
-    result = HarnessResult("circuit-elimination", species, 0)
-    while result.accepted < cases:
+    while True:
         oracle = random_oracle(species, 9, 1, rng)
         for _ in range(8):
             c1 = _random_circuit(oracle, rng)
@@ -177,17 +178,15 @@ def run_fact3_harness(species, cases, seed):
             e = rng.choice(shared)
             f = rng.choice(only)
             witness = oracle.eliminate_circuit(c1, c2, e, f)
-            case = {"c1": sorted(c1), "c2": sorted(c2), "e": e, "f": f}
+            failures = []
             if not oracle.is_circuit(witness):
-                result.failures.append({**case, "why": "witness not a circuit"})
+                failures.append({"why": "witness not a circuit"})
             if f not in witness or e in witness:
-                result.failures.append({**case, "why": "witness misses f or keeps e"})
+                failures.append({"why": "witness misses f or keeps e"})
             if not witness <= (c1 | c2) - {e}:
-                result.failures.append({**case, "why": "witness leaves the union"})
-            result.accept(oracle, case)
-            if result.accepted >= cases:
-                break
-    return result
+                failures.append({"why": "witness leaves the union"})
+            yield (oracle, {"c1": sorted(c1), "c2": sorted(c2), "e": e,
+                            "f": f}, failures)
 
 
 def _build_swap(oracle, i, k, rng):
@@ -217,13 +216,11 @@ def _build_swap(oracle, i, k, rng):
     return x_list, y_list
 
 
-def run_lemma3_harness(species, cases, seed):
+def _lemma3_cases(species, rng):
     """Circuit transfer under a span-preserving swap: the conclusion must
     hold on every hypothesis-satisfying input found, on oracles of 8
     elements and I of at most 5."""
-    rng = random.Random(seed)
-    result = HarnessResult("circuit-transfer", species, 0)
-    while result.accepted < cases:
+    while True:
         oracle = random_oracle(species, 8, 1, rng)
         for _ in range(6):
             i = _random_independent(oracle, rng, 5)
@@ -250,14 +247,9 @@ def run_lemma3_harness(species, cases, seed):
                     continue
                 case = {"i": sorted(i), "x_list": x_list, "y_list": y_list,
                         "y_next": y_next, "x_next": x_next}
-                result.accept(oracle, case)
-                if not conclusion:
-                    result.failures.append({**case,
-                                            "why": "conclusion failed"})
+                yield (oracle, case,
+                       [] if conclusion else [{"why": "conclusion failed"}])
                 break
-            if result.accepted >= cases:
-                break
-    return result
 
 
 def _counters(oracle):
@@ -269,7 +261,7 @@ def _counters(oracle):
     return out
 
 
-def run_extender_harness(species, cases, seed):
+def _extender_cases(species, rng):
     """Extension testers: for a base B, the species tester and that of a
     lift over the oracle answer every x of the ground set, x in B included,
     as ``is_independent(B | {x})`` does, and move every counter, the lift
@@ -277,9 +269,7 @@ def run_extender_harness(species, cases, seed):
     of the ground set must equal the greedy reference's, with no counter
     moved.  Oracles of 8 elements, lifts of 10; B is a random independent
     set or a random subset, often dependent."""
-    rng = random.Random(seed)
-    result = HarnessResult("extender", species, 0)
-    while result.accepted < cases:
+    while True:
         oracle = random_oracle(species, 8, 1, rng)
         lift = ParallelLiftMatroid([rng.randrange(8) for _ in range(10)],
                                    oracle)
@@ -290,16 +280,15 @@ def run_extender_harness(species, cases, seed):
                 base = _random_independent(target, rng, len(ground))
             else:
                 base = frozenset(rng.sample(ground, rng.randint(0, 5)))
-            case = {"lift": target is lift, "base": sorted(base)}
+            failures = []
             for s in (base, frozenset(ground)):
                 before = _counters(target)
                 rank = target._rank(s)
                 if _counters(target) != before:
-                    result.failures.append({**case, "s": sorted(s),
-                                            "why": "rank asked the oracle"})
+                    failures.append({"s": sorted(s),
+                                     "why": "rank asked the oracle"})
                 if rank != MatroidOracle._rank(target, s):
-                    result.failures.append({**case, "s": sorted(s),
-                                            "why": "rank differs"})
+                    failures.append({"s": sorted(s), "why": "rank differs"})
             extends = target._extender(base)
             for x in ground:
                 before = _counters(target)
@@ -308,17 +297,19 @@ def run_extender_harness(species, cases, seed):
                 want = target.is_independent(base | {x})
                 after = _counters(target)
                 if got != want:
-                    result.failures.append({**case, "x": x,
-                                            "why": "answer differs"})
+                    failures.append({"x": x, "why": "answer differs"})
                 if ([b - a for a, b in zip(before, mid)]
                         != [b - a for a, b in zip(mid, after)]):
-                    result.failures.append({**case, "x": x,
-                                            "why": "counters differ"})
-            result.accept(target, case)
-            if result.accepted >= cases:
-                break
-    return result
+                    failures.append({"x": x, "why": "counters differ"})
+            yield (target, {"lift": target is lift, "base": sorted(base)},
+                   failures)
 
+
+run_fact1_harness = _harness("fundamental-circuit", _fact1_cases)
+run_fact2_harness = _harness("augmentation", _fact2_cases)
+run_fact3_harness = _harness("circuit-elimination", _fact3_cases)
+run_lemma3_harness = _harness("circuit-transfer", _lemma3_cases)
+run_extender_harness = _harness("extender", _extender_cases)
 
 #: Every harness, in the order ``run_all`` runs them and numbers their
 #: seeds; a new harness goes last, so the others keep their cases.

@@ -450,8 +450,11 @@ def max_common_independent(m1, m2, order=None, *, rank=None):
 
 def random_oracle(species, ground_size, min_rank, rng):
     """Draw a random oracle of the requested species whose ground-set rank is
-    at least min_rank, which must be at least 1.  A draw is accepted on its
-    species' closed-form rank, so it costs no predicate call."""
+    at least min_rank, an ``int`` of at least 1 (a ``bool`` is refused).  A
+    draw is accepted on its species' closed-form rank, so it costs no
+    predicate call."""
+    if isinstance(min_rank, bool) or not isinstance(min_rank, int):
+        raise PreconditionError(f"min_rank {min_rank!r} is not an integer")
     if min_rank < 1:
         raise PreconditionError(f"min_rank {min_rank!r} is below 1")
     if min_rank > ground_size:

@@ -4,6 +4,7 @@ hypothesis checker."""
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter, deque
 
 import pytest
@@ -236,6 +237,14 @@ class TestBruteForce:
     def test_target_zero(self):
         out = brute_force_rainbow(drisko_instance(2), 0)
         assert out.choices == {}
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_target_outside_zero_to_n_rejected(self, target):
+        inst = drisko_instance(2)
+        with pytest.raises(PreconditionError,
+                           match="target must lie between 0 and n"):
+            brute_force_rainbow(inst, target)
+        assert inst.oracle_calls() == {"M": 0, "N": 0}
 
     def test_same_answers_as_the_plain_search(self):
         # Forward checking drops only failing candidates and dead
@@ -471,6 +480,15 @@ class TestEncodeArray:
         with pytest.raises(PreconditionError, match="row 0"):
             encode_array([(0, 1, 2)], values)
 
+    def test_rejects_no_rows(self):
+        with pytest.raises(PreconditionError, match="at least one row"):
+            encode_array([])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(PreconditionError,
+                           match="row 1 has length 1, expected 2"):
+            encode_array([(1, 2), (1,)])
+
     def test_arrays_of_one_shape_share_cells_not_oracles(self):
         a = encode_array([(1, 2, 3), (2, 3, 1)])
         b = encode_array([(3, 1, 2), (1, 2, 3)])
@@ -510,6 +528,12 @@ class TestRandomInstance:
     def test_impossible_rank_rejected(self):
         with pytest.raises(GenerationError):
             random_instance("uniform", "uniform", 4, 2, seed=0, ground_size=3)
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (2, 0), (-1, -1)])
+    def test_n_and_m_below_one_rejected(self, n, m):
+        with pytest.raises(PreconditionError,
+                           match="n and m must be positive"):
+            random_instance("uniform", "uniform", n, m, seed=0)
 
     def test_ground_smaller_than_n_rejected_at_once(self, monkeypatch):
         def no_draw(*args):
@@ -864,6 +888,13 @@ class TestMaxCommonIndependent:
             max_common_independent(m, m, rank=rank)
         assert m.independence_calls == 0
 
+    def test_ground_sizes_must_agree(self):
+        m1, m2 = UniformMatroid(2, 4), UniformMatroid(2, 5)
+        with pytest.raises(PreconditionError,
+                           match="oracles disagree on ground set size"):
+            max_common_independent(m1, m2)
+        assert m1.independence_calls == m2.independence_calls == 0
+
     def test_rank_zero_is_the_empty_set(self):
         m = UniformMatroid(3, 5)
         assert max_common_independent(m, m, rank=0) == frozenset()
@@ -896,6 +927,28 @@ class TestLemma3:
         m = UniformMatroid(2, 4)
         with pytest.raises(HypothesisError, match="circuit"):
             check_lemma3(m, {0, 1}, [0], [2], 3, 1)
+
+    @pytest.mark.parametrize("m, args, message", [
+        (UniformMatroid(2, 4), ({0, 1}, [0], [], 2, 1),
+         "X and Y must have the same size"),
+        (UniformMatroid(2, 4), ({0, 1, 2}, [], [], 3, 0), "I is dependent"),
+        (UniformMatroid(2, 4), ({0, 1}, [2], [3], 3, 0),
+         "X must be a subset of I"),
+        (UniformMatroid(2, 4), ({0, 1}, [0], [1], 2, 1),
+         r"Y must lie in span\(I\) minus I"),
+        # Blocks {0, 2} and {1}: swapping 1 for 2 loses block 1's span.
+        (PartitionMatroid([0, 1, 0], [1, 1]), ({0, 1}, [1], [2], 2, 0),
+         "the swap does not preserve the span of I"),
+        (UniformMatroid(2, 4), ({0, 1}, [], [], 0, 1),
+         r"y_next must lie in span\(I\) minus I"),
+        (UniformMatroid(2, 4), ({0, 1}, [0], [2], 2, 1),
+         "y_next must be distinct from Y"),
+        (UniformMatroid(2, 4), ({0, 1}, [], [], 2, 3),
+         "x_next must lie in the circuit of y_next, outside X"),
+    ])
+    def test_each_hypothesis_named(self, m, args, message):
+        with pytest.raises(HypothesisError, match=f"^{message}$"):
+            check_lemma3(m, *args)
 
 
 def count_validations(monkeypatch):
@@ -1116,5 +1169,18 @@ class TestRandomOracle:
         state = rng.getstate()
         with pytest.raises(PreconditionError,
                            match=f"min_rank {min_rank} is below 1"):
+            random_oracle(species, 6, min_rank, rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("species", SPECIES)
+    @pytest.mark.parametrize("min_rank", [1.5, "2", True, None])
+    def test_min_rank_not_an_integer_rejected_before_any_draw(self, species,
+                                                              min_rank):
+        # 1.5 would fail inside randrange, "2" and None at the comparison,
+        # and True would draw as 1.
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(PreconditionError, match=re.escape(
+                f"min_rank {min_rank!r} is not an integer")):
             random_oracle(species, 6, min_rank, rng)
         assert rng.getstate() == state

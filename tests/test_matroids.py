@@ -173,6 +173,40 @@ class TestBuild:
         with pytest.raises(MatroidSpecError, match="unknown"):
             build_matroid({"type": "transversal"}, 1)
 
+    @pytest.mark.parametrize("spec", [{}, {"rank": 1}, [("type", "uniform")]])
+    def test_rejects_missing_type(self, spec):
+        with pytest.raises(MatroidSpecError,
+                           match="matroid description missing 'type'"):
+            build_matroid(spec, 1)
+
+    def test_rejects_prime_above_the_maximum(self):
+        # The next prime above 2^31 - 1; the bound is checked before
+        # primality, so no trial division runs.
+        with pytest.raises(MatroidSpecError,
+                           match=f"prime 2147483659 exceeds {matroids.MAX_PRIME}"):
+            LinearMatroid(2147483659, [(1,)])
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(MatroidSpecError,
+                           match="columns have mixed dimensions"):
+            LinearMatroid(3, [(1, 0), (1,)])
+
+    @pytest.mark.parametrize("entry", [3, -1])
+    def test_rejects_unreduced_entry(self, entry):
+        with pytest.raises(MatroidSpecError, match=(
+                f"column 1 entry {entry} not reduced modulo 3")):
+            LinearMatroid(3, [(1, 0), (0, entry)])
+
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(MatroidSpecError,
+                           match="vertex count must be nonnegative"):
+            GraphicMatroid(-1, [])
+
+    def test_rejects_negative_ground_size(self):
+        with pytest.raises(MatroidSpecError,
+                           match="ground_size must be nonnegative"):
+            UniformMatroid(1, -1)
+
 
 class TestIndependence:
     def test_empty_set_always_independent(self, triangle):

@@ -92,6 +92,33 @@ class TestGreedySeed:
         assert brute_force_rainbow(inst, 2) is None
 
 
+class TestValidate:
+    def test_instance_ground_sizes_must_agree(self):
+        inst = RainbowInstance(UniformMatroid(2, 3), UniformMatroid(2, 4),
+                               ({0, 1},), 2)
+        with pytest.raises(PreconditionError,
+                           match="oracles disagree on ground set size"):
+            inst.validate()
+
+    def test_instance_target_must_be_nonnegative(self):
+        m = UniformMatroid(2, 3)
+        with pytest.raises(PreconditionError,
+                           match="target size must be nonnegative"):
+            RainbowInstance(m, m, (), -1).validate()
+
+    @pytest.mark.parametrize("choices, message", [
+        ({0: 0, 1: 0}, "assignment reuses an element"),
+        ({3: 0}, "assignment uses unknown set index 3"),
+        ({-1: 0}, "assignment uses unknown set index -1"),
+        ({0: 2}, "assignment maps set 0 to 2, which it does not contain"),
+        ({1: 2, 2: 4}, "assignment range is dependent in M"),  # column 0
+        ({0: 0, 1: 3}, "assignment range is dependent in N"),  # symbol 1
+    ])
+    def test_assignment_errors(self, cell_instance, choices, message):
+        with pytest.raises(PreconditionError, match=message):
+            RainbowAssignment(choices).validate(cell_instance)
+
+
 class TestValidateTrail:
     def test_single_swap_trail(self, cell_instance):
         r = RainbowAssignment({0: 0})
@@ -148,6 +175,17 @@ class TestApplyTrail:
         with pytest.raises(PreconditionError, match="augmenting"):
             apply_trail(cell_instance, r, trail)
 
+    @pytest.mark.parametrize("step", [
+        TrailStep(1, 4, None),  # cell 4 lies in set 2, not set 1
+        TrailStep(1, 3, None),  # cells 0 and 3 share the symbol 1
+    ])
+    def test_rejects_a_trail_that_fails_validation(self, cell_instance,
+                                                   step):
+        r = RainbowAssignment({0: 0})
+        with pytest.raises(PreconditionError, match=(
+                "trail fails validation against the assignment")):
+            apply_trail(cell_instance, r, Trail((step,), True))
+
     def test_size_preserving_trail_is_a_theorem_violation(
             self, cell_instance, monkeypatch):
         # A validator that wrongly accepts a trail ending in a removal must
@@ -173,6 +211,20 @@ class TestApplyTrail:
 
 
 class TestSweepRound:
+    @pytest.mark.parametrize("choices, witness, fresh, message", [
+        ({0: 0, 1: 2}, {0: (), 2: ()}, [2],
+         "assignment already reached the target size"),
+        ({0: 0}, {0: ()}, [], "no fresh set left to process"),
+    ])
+    def test_shared_preconditions(self, uniform_instance, choices, witness,
+                                  fresh, message):
+        state = SweepState(witness={x: Trail(steps, False)
+                                    for x, steps in witness.items()},
+                           fresh=list(fresh))
+        with pytest.raises(PreconditionError, match=message):
+            sweep_round(uniform_instance, RainbowAssignment(choices), state)
+        assert state.fresh == fresh
+
     def test_replace_branch(self, cell_instance):
         r = RainbowAssignment({0: 0})
         state = SweepState(fresh=[1, 2])
@@ -252,6 +304,20 @@ class TestSweepRound:
 
 
 class TestCloseRound:
+    @pytest.mark.parametrize("choices, witness, fresh, message", [
+        ({0: 0, 1: 2}, {0: (), 2: ()}, [2],
+         "assignment already reached the target size"),
+        ({0: 0}, {0: ()}, [], "no fresh set left to process"),
+    ])
+    def test_shared_preconditions(self, uniform_instance, choices, witness,
+                                  fresh, message):
+        state = SweepState(witness={x: Trail(steps, False)
+                                    for x, steps in witness.items()},
+                           fresh=list(fresh))
+        with pytest.raises(PreconditionError, match=message):
+            close_round(uniform_instance, RainbowAssignment(choices), state)
+        assert state.fresh == fresh
+
     def test_witness_extension(self, cell_instance):
         r = RainbowAssignment({0: 0})
         witness = Trail((TrailStep(1, 3, 0),), False)
