@@ -33,19 +33,23 @@ oracles' extension testers (``MatroidOracle.extender``), which read B once.
 Each narrowing of ``brute_force_rainbow`` builds an M and an N tester of
 its used set, each when first asked: on the relabelled Drisko families
 more than half of the testers an eager build makes are never asked.
-``_augmenting_path`` builds one tester per matroid for its current set
-and asks every source and sink test through them.  A tester counts each
+``_augmenting_path`` builds one tester per matroid for its current set,
+each when first asked, and asks every source and sink test through them.  A tester counts each
 answer as the predicate call it replaces, so every count and answer is
 the predicate's.
 
-Generation stops as soon as its answer is settled.  ``random_instance``
+Generation stops as soon as its answer is settled, and asks nothing its
+earlier searches have settled.  ``random_instance``
 passes the smaller of the two ground ranks to its first search, as an upper
 bound on the common rank: when the common rank meets it, the search stops
 at that size instead of making a last search that must fail.  The first
 search settles the common rank, and every later one stops there.
-``random_oracle`` reads the ground rank off the oracle's structure
-(``MatroidOracle.rank``), with no predicate call.  Neither rule changes a
-drawn oracle or a generated set.
+Every later search is also given the full sets the earlier ones found
+for the same pair (``known``): while its current set lies inside one of
+them, each element that set adds is a source and a sink, and the search
+returns it, on reaching it in order, without a test.  ``random_oracle``
+reads the ground rank off the oracle's structure (``MatroidOracle.rank``),
+with no predicate call.  No rule changes a drawn oracle or a generated set.
 """
 
 from __future__ import annotations
@@ -304,7 +308,7 @@ def max_rainbow(instance, floor=0):
 
 
 def _augmenting_path(m1, m2, current, order, position, m1_spanned,
-                     m2_spanned):
+                     m2_spanned, addable=frozenset()):
     """Shortest augmenting path in the exchange digraph of the classical
     matroid-intersection algorithm, deterministic in the given order.
 
@@ -319,13 +323,25 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
     M1 test.  With no source-sink every source is queued, in order, before
     the breadth-first search starts: the deferred elements are tested then,
     so the path found is the one an eager listing finds, and no element is
-    asked about twice."""
+    asked about twice.
+
+    ``addable`` is the union of sets that contain ``current`` and are
+    proved common independent for m1 and m2.  An element y of it outside
+    ``current`` is a source and a sink, since current + y lies in one of
+    those sets: the scan returns [y] when it reaches y, with no test,
+    which is the path the tests would return.  By heredity current + y is
+    independent in both, so y is spanned by no set the memos were filled
+    from (spans only grow) and neither memo holds it."""
     s = frozenset(current)
-    outside = [y for y in order if y not in s]
-    extends_m1, extends_m2 = m1.extender(s), m2.extender(s)
+    # Each tester is built when first asked, so a search that returns an
+    # element of addable before any test builds neither.
+    extends_m1 = extends_m2 = None
 
     def is_source(y):
         # A source is a root of the search: it gets parent None.
+        nonlocal extends_m1
+        if extends_m1 is None:
+            extends_m1 = m1.extender(s)
         if extends_m1(y):
             parent[y] = None
             return True
@@ -334,8 +350,11 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
 
     def is_sink(y):
         # Asked only when the search reaches y, at most once per call.
+        nonlocal extends_m2
         if y in m2_spanned:
             return False
+        if extends_m2 is None:
+            extends_m2 = m2.extender(s)
         if extends_m2(y):
             return True
         m2_spanned.add(y)
@@ -343,10 +362,12 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
 
     parent = {}
     scanned = []
-    for y in outside:
-        if y in m1_spanned:
+    for y in order:
+        if y in s or y in m1_spanned:
             continue
         if y not in m2_spanned:
+            if y in addable:
+                return [y]
             if not is_source(y):
                 continue
             if is_sink(y):
@@ -356,6 +377,7 @@ def _augmenting_path(m1, m2, current, order, position, m1_spanned,
     queue = deque(y for y in scanned if y in parent or is_source(y))
     if not queue:
         return None
+    outside = [y for y in order if y not in s]
     # M1 circuit of each non-source addition, computed at most once here.
     m1_circuit = {}
     while queue:
@@ -411,7 +433,40 @@ def _order_positions(order, ground_size):
     return position
 
 
-def max_common_independent(m1, m2, order=None, *, rank=None):
+@functools.lru_cache(maxsize=64)
+def _ground(size):
+    return frozenset(range(size))
+
+
+def _known_sets(known, ground_size):
+    """The known sets, each a frozenset, and their union.  known and each
+    of its entries must be iterable, and each element must lie in the
+    ground set, else the first bad entry or element is named.  Elements
+    are checked by value, as ``MatroidOracle`` checks a set."""
+    try:
+        entries = iter(known)
+    except TypeError:
+        raise PreconditionError(
+            f"known {known!r} is not a collection of sets") from None
+    sets = []
+    for idx, entry in enumerate(entries):
+        try:
+            sets.append(frozenset(entry))
+        except TypeError:
+            raise PreconditionError(
+                f"known[{idx}] {entry!r} is not a collection of "
+                f"elements") from None
+    union = frozenset().union(*sets)
+    if not union <= _ground(ground_size):
+        idx, x = next((idx, x) for idx, entry in enumerate(sets)
+                      for x in entry if x not in range(ground_size))
+        raise PreconditionError(
+            f"known[{idx}] element {x!r} is outside the ground set of size "
+            f"{ground_size}")
+    return sets, union
+
+
+def max_common_independent(m1, m2, order=None, *, rank=None, known=()):
     """Maximum-cardinality common independent set by repeated shortest
     augmenting paths.
 
@@ -428,7 +483,20 @@ def max_common_independent(m1, m2, order=None, *, rank=None):
     loop ends at the failing search as without it.  A smaller one is the
     caller's error: the loop stops there and returns a set that is not
     maximum.  A ``rank`` that is a ``bool``, not an ``int`` or negative
-    raises ``PreconditionError`` before any predicate call."""
+    raises ``PreconditionError`` before any predicate call.
+
+    ``known``, when given, is a collection of sets that must each be
+    common independent in m1 and m2, such as the sets earlier calls on
+    the same pair returned.  While the current set lies inside one of
+    them, every element that set adds is a source and a sink, so the
+    search returns it as a one-element path on reaching it in order,
+    with no test: that is the path the tests would give, so the returned
+    set is the same.  A known set that is dependent is the caller's
+    error, and the returned set may then be dependent; it is not
+    tested, since that test would cost the calls it saves.  A ``known``
+    or an entry that is not iterable, an entry holding an unhashable
+    item, or an element outside the ground set raises
+    ``PreconditionError``, naming the entry, before any predicate call."""
     if m1.ground_size != m2.ground_size:
         raise PreconditionError("oracles disagree on ground set size")
     if rank is not None and (isinstance(rank, bool)
@@ -437,14 +505,26 @@ def max_common_independent(m1, m2, order=None, *, rank=None):
             f"rank {rank!r} is not a nonnegative integer")
     order = list(order) if order is not None else list(range(m1.ground_size))
     position = _order_positions(order, m1.ground_size)
+    known, addable = _known_sets(known, m1.ground_size)
     current = set()
     m1_spanned, m2_spanned = set(), set()
+    # inside holds the known sets that contain current, and addable their
+    # union.
+    inside = known
     while len(current) != rank:
         path = _augmenting_path(m1, m2, current, order, position,
-                                m1_spanned, m2_spanned)
+                                m1_spanned, m2_spanned, addable)
         if path is None:
             break
         current.symmetric_difference_update(path)
+        if len(path) > 1:
+            inside = [k for k in known if current <= k]
+        elif inside:
+            # A one-element path only adds: the sets of inside that hold it.
+            inside = [k for k in inside if path[0] in k]
+        else:
+            continue
+        addable = frozenset().union(*inside)
     return frozenset(current)
 
 
@@ -508,7 +588,17 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
 
     The first search is given the smaller ground rank as an upper bound
     and settles the common rank.  Below n, the pair is drawn again at once;
-    otherwise every later search stops at that rank."""
+    otherwise every later search stops at that rank, and is given every
+    full set found so far for this pair as ``known``.
+
+    n, m and ``ground_size`` (unless None) must be ``int``s, not
+    ``bool``s, else ``PreconditionError`` names the parameter before any
+    draw."""
+    for name, value in (("n", n), ("m", m), ("ground_size", ground_size)):
+        if value is None and name == "ground_size":
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise PreconditionError(f"{name} {value!r} is not an integer")
     if n < 1 or m < 1:
         raise PreconditionError("n and m must be positive")
     g = ground_size if ground_size is not None else 3 * n
@@ -526,19 +616,22 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
             last_error = exc
             continue
         state = rng.getstate()
-        family = []
+        family, found = [], []
         rank = min(m_oracle.rank(range(g)), n_oracle.rank(range(g)))
         for _ in range(m):
             order = list(range(g))
             rng.shuffle(order)
             full = max_common_independent(m_oracle, n_oracle, order=order,
-                                          rank=rank)
+                                          rank=rank, known=found)
             if len(full) < n:
                 # Every maximum common independent set has the common rank,
                 # so the first search settles it; the retry draws as if
                 # this shuffle had not been made.
                 break
             rank = len(full)
+            # Common independent for this pair: later searches need not
+            # test inside it.
+            found.append(full)
             family.append(frozenset([x for x in order if x in full][:n]))
         else:
             return RainbowInstance(m_oracle, n_oracle, tuple(family), n)

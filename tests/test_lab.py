@@ -535,6 +535,27 @@ class TestRandomInstance:
                            match="n and m must be positive"):
             random_instance("uniform", "uniform", n, m, seed=0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 3), "n 2.5 is not an integer"),
+        ((True, 3), "n True is not an integer"),
+        (("3", 3), "n '3' is not an integer"),
+        ((3, 2.5), "m 2.5 is not an integer"),
+        ((3, True), "m True is not an integer"),
+        ((3, 5, True), "ground_size True is not an integer"),
+        ((3, 5, 7.0), "ground_size 7.0 is not an integer"),
+    ])
+    def test_sizes_must_be_integers(self, args, message, monkeypatch):
+        # Named before any draw: m = 2.5 used to escape from range(m) as a
+        # TypeError, n = 2.5 was reported as min_rank, and ground_size =
+        # True was taken as 1.
+        def no_draw(*args):
+            raise AssertionError("an oracle was drawn")
+
+        monkeypatch.setattr(lab, "random_oracle", no_draw)
+        n, m, *ground = args
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            random_instance("uniform", "uniform", n, m, 0, *ground)
+
     def test_ground_smaller_than_n_rejected_at_once(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("an oracle was drawn")
@@ -583,9 +604,12 @@ class TestRandomInstance:
 def test_generation_predicate_calls_bounded(monkeypatch):
     # The primary cost metric of generation, over the grid of
     # test_generated_documents_pinned: every independence test made while
-    # generating, retries included.  5516 is the count with the smaller
-    # ground rank passed to the first search, which then stops without its
-    # failing last search whenever the common rank meets that bound; with
+    # generating, retries included.  4616 is the count with each search
+    # given the full sets found before it for the same pair, whose
+    # elements it returns untested while its current set lies inside one.
+    # With the smaller ground rank passed to the first search, which then
+    # stops without its failing last search whenever the common rank meets
+    # that bound, it was 5516; with
     # the draws accepted on the closed-form rank alone it was 5901, with a
     # greedy rank probe stopped at n 6448.  Before that, asking M1 about
     # the known non-sinks on every search made 6677, one more failing
@@ -608,7 +632,7 @@ def test_generation_predicate_calls_bounded(monkeypatch):
         for n in range(2, 6):
             for seed in range(3):
                 random_instance(species_m, species_n, n, 2 * n - 1, seed)
-    assert len(calls) <= 5516
+    assert len(calls) <= 4616
 
 
 def reference_augmenting_path(m1, m2, current, order):
@@ -755,10 +779,10 @@ class TestMaxCommonIndependent:
         search = lab._augmenting_path
 
         def recording(m1, m2, current, order, position, m1_spanned,
-                      m2_spanned):
+                      m2_spanned, addable):
             s = frozenset(current)
             path = search(m1, m2, current, order, position, m1_spanned,
-                          m2_spanned)
+                          m2_spanned, addable)
             assert m1_spanned <= MatroidOracle.span(m1, s)
             assert m2_spanned <= MatroidOracle.span(m2, s)
             searched.append(s)
@@ -862,6 +886,100 @@ class TestMaxCommonIndependent:
                 m1, m2, order=order, rank=len(want) + 1) == want
             assert max_common_independent(
                 m1, m2, order=order, rank=m1.ground_size + 1) == want
+
+    def test_known_sets_stop_at_the_same_set(self, monkeypatch):
+        # Given the sets two earlier orders of the same pair returned, every
+        # search returns the path it returns without them, with no more
+        # calls, and the searches together make fewer.
+        searches = []
+        search = lab._augmenting_path
+
+        def recording(m1, m2, current, order, position, m1_spanned,
+                      m2_spanned, addable):
+            start = m1.independence_calls + m2.independence_calls
+            path = search(m1, m2, current, order, position, m1_spanned,
+                          m2_spanned, addable)
+            searches.append((frozenset(current), path,
+                             m1.independence_calls + m2.independence_calls
+                             - start))
+            return path
+
+        monkeypatch.setattr(lab, "_augmenting_path", recording)
+        rng = random.Random(47)
+        saved = cases = 0
+        for m1, m2, order in itertools.chain(
+                random_pair_cases(seed=47, per_pair=16),
+                path_matching_cases(seed=47)):
+            known = []
+            for _ in range(2):
+                earlier = list(order)
+                rng.shuffle(earlier)
+                known.append(max_common_independent(m1, m2, order=earlier))
+            searches.clear()
+            want = max_common_independent(m1, m2, order=order)
+            plain = list(searches)
+            searches.clear()
+            assert max_common_independent(m1, m2, order=order,
+                                          known=known) == want
+            assert [s[:2] for s in searches] == [s[:2] for s in plain]
+            for (_, _, got), (_, _, asked) in zip(searches, plain):
+                assert got <= asked
+            saved += sum(s[2] for s in plain) - sum(s[2] for s in searches)
+            cases += 1
+        assert cases >= 16 * 16
+        assert saved > 0
+
+    def test_known_set_elements_are_not_asked(self):
+        # U(2,4) x U(2,4), order 0..3, common rank 2, known {1, 2} and
+        # {0, 3}.  From the empty set both contain the current set, and 0
+        # is returned untested.  From {0} only {0, 3} does: 1 comes first
+        # in order and is asked of M1 and M2, and is returned, so the set
+        # is {0, 1} as without the known sets, which ask twice as much.
+        m1, m2 = UniformMatroid(2, 4), UniformMatroid(2, 4)
+        order = [0, 1, 2, 3]
+        known = [frozenset({1, 2}), frozenset({0, 3})]
+        assert max_common_independent(m1, m2, order=order, rank=2,
+                                      known=known) == {0, 1}
+        assert (m1.independence_calls, m2.independence_calls) == (1, 1)
+        m1, m2 = UniformMatroid(2, 4), UniformMatroid(2, 4)
+        assert max_common_independent(m1, m2, order=order,
+                                      rank=2) == {0, 1}
+        assert (m1.independence_calls, m2.independence_calls) == (2, 2)
+        # Without the rank, the last search asks M1 about 2 and 3 only.
+        m1, m2 = UniformMatroid(2, 4), UniformMatroid(2, 4)
+        assert max_common_independent(m1, m2, order=order,
+                                      known=[{0, 1}]) == {0, 1}
+        assert (m1.independence_calls, m2.independence_calls) == (2, 0)
+
+    @pytest.mark.parametrize("known, message", [
+        (5, r"known 5 is not a collection of sets"),
+        (None, r"known None is not a collection of sets"),
+        ("01", r"known\[0\] element '0' is outside"),
+        ([{0}, 3], r"known\[1\] 3 is not a collection of elements"),
+        ([{0}, None], r"known\[1\] None is not a collection of elements"),
+        ([{0}, "12"], r"known\[1\] element '[12]' is outside"),
+        ([[[0, 1]]], r"known\[0\] \[\[0, 1\]\] is not a collection of "
+                     r"elements"),
+        ([{0, 4}], r"known\[0\] element 4 is outside the ground set of "
+                   r"size 4"),
+        ([frozenset({1}), frozenset({-1})],
+         r"known\[1\] element -1 is outside"),
+        ([[0], ["3"]], r"known\[1\] element '3' is outside"),
+    ])
+    def test_known_must_hold_sets_of_ground_elements(self, known, message):
+        m = UniformMatroid(3, 4)
+        with pytest.raises(PreconditionError, match=message):
+            max_common_independent(m, m, known=known)
+        assert m.independence_calls == 0
+
+    def test_known_sets_may_be_any_iterables(self):
+        # Lists, sets, tuples and generators, in a list or a generator, are
+        # read as the frozensets they hold.
+        m1, m2 = UniformMatroid(2, 4), UniformMatroid(2, 4)
+        known = ([3, 2], {1}, (), (x for x in [0]))
+        assert max_common_independent(m1, m2, order=[3, 2, 1, 0], rank=2,
+                                      known=iter(known)) == {2, 3}
+        assert m1.independence_calls == m2.independence_calls == 0
 
     @pytest.mark.parametrize("order, message", [
         ([0, 1, 3], "omits element 2"),
@@ -1071,8 +1189,9 @@ class TestRandomInstanceSearches:
         real = lab.max_common_independent
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            full = real(*args, **kwargs)
+            calls.append((args, tuple(kwargs["known"]), full))
+            return full
 
         monkeypatch.setattr(lab, "max_common_independent", counted)
         return calls
@@ -1096,6 +1215,13 @@ class TestRandomInstanceSearches:
                                          seed, n + 2)
         assert dumps_doc(instance_to_doc(got)) == \
             dumps_doc(instance_to_doc(want))
+        # Each search is given the full sets found since the last draw; a
+        # redraw starts again from none.
+        found = []
+        for _, known, full in calls:
+            assert list(known) == found
+            found = found + [full] if len(full) >= n else []
+        assert len(found) == 2 * n - 1
 
 
 class TestRandomOracle:

@@ -702,7 +702,13 @@ def reference_sweep_round(instance, assignment, state):
     return NewReachable(r_new, Trail(prefix + (TrailStep(k, a, r_new),), False))
 
 
-def test_sweep_round_matches_the_span_reference(monkeypatch):
+def long_sweep_trails(rounds):
+    """The witness and augmenting trails of at least two steps among
+    recorded sweep rounds."""
+    return sum(len(result.trail.steps) >= 2 for _, _, result in rounds)
+
+
+def test_sweep_round_matches_the_span_reference(monkeypatch, sweep_rounds):
     # Every sweep round from the stuck states of guaranteed and narrow
     # random instances and row-Latin arrays, against the reference on a
     # copy of the same state: the same result, the same fresh sets left,
@@ -750,9 +756,12 @@ def test_sweep_round_matches_the_span_reference(monkeypatch):
     for inst in instances:
         for assignment in stuck_states(inst, cap=30):
             _sweep_for_augmenting_trail(inst, assignment)
-    print(f"\n{dict(kinds)}")
+    print(f"\n{dict(kinds)}, {long_sweep_trails(sweep_rounds)} of "
+          f"{len(sweep_rounds)} trails with two or more steps")
     assert kinds["truncated"] >= 10 and kinds["Augment"] >= 300
     assert kinds["NewReachable"] >= 1500
+    # The sweep builds long exchange trails here, not only one-step ones.
+    assert long_sweep_trails(sweep_rounds) >= 100
 
 
 #: The structural errors of a trail, one pattern per kind of message.
@@ -907,10 +916,13 @@ def test_validate_trail_matches_the_span_reference(sweep_rounds):
             long_trails += 1
             long_accepted += got is True
     print(f"\n{len(cases)} trails, {long_trails} with two or more non-final "
-          f"steps ({long_accepted} valid)")
+          f"steps ({long_accepted} valid); the sweep built "
+          f"{long_sweep_trails(sweep_rounds)} of {len(sweep_rounds)} with "
+          f"two or more steps")
     assert answers == {True, False, TrailStructureError}
     assert errors == set(STRUCTURAL)
     assert long_accepted >= 20
+    assert long_sweep_trails(sweep_rounds) >= 20
 
 
 def test_drisko_flip_predicate_calls_bounded():
