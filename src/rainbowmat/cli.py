@@ -22,11 +22,11 @@ from .fileio import (
 from .harness import run_all
 from .lab import (
     GenerationError,
-    LatinArray,
     SPECIES,
     drisko_instance,
     encode_array,
     random_instance,
+    validate_row_latin,
     verify_instance,
 )
 from .matroids import MatroidSpecError, PreconditionError
@@ -95,11 +95,16 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
-def _cmd_counterexample(args):
-    instance = drisko_instance(args.n)
+def _write_array(path, instance):
+    """Write an encoded array, naming the cell in row i, column j
+    ``r{i}c{j}``."""
     names = [f"r{i}c{j}" for i in range(len(instance.family))
              for j in range(instance.n)]
-    _write(args.out, dumps_doc(instance_to_doc(instance, names)))
+    _write(path, dumps_doc(instance_to_doc(instance, names)))
+
+
+def _cmd_counterexample(args):
+    _write_array(args.out, drisko_instance(args.n))
     return EXIT_OK
 
 
@@ -118,11 +123,7 @@ def _cmd_encode_latin(args):
         # inline form: rows separated by ';', symbols by ','
         rows = parse_rows([[_symbol(v) for v in row.split(",")]
                            for row in args.rows.split(";")])
-    array = LatinArray(tuple(tuple(r) for r in rows), len(rows[0]))
-    array.validate_row_latin()
-    instance = encode_array(array)
-    names = [f"r{i}c{j}" for i in range(len(rows)) for j in range(len(rows[0]))]
-    _write(args.out, dumps_doc(instance_to_doc(instance, names)))
+    _write_array(args.out, encode_array(validate_row_latin(rows)))
     return EXIT_OK
 
 

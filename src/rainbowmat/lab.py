@@ -7,6 +7,11 @@ The searches here use the oracles alone, not the sweep machinery in
 ``solve`` against ``max_rainbow``, and ``solve`` falls back on
 ``max_rainbow`` for narrow families.
 
+An array is its rows, a sequence of equal-length rows of symbols.
+``encode_array`` takes it as it is; ``validate_row_latin`` checks first that
+each row is a permutation of 1..n, n the length of the first row, and
+``random_row_latin`` draws such rows as a tuple of tuples.
+
 ``max_common_independent`` keeps, across its augmentations, the elements it
 has found spanned by the current set in M1 (never again a source) and in M2
 (never again a sink).  An element known M1-spanned is asked nothing again;
@@ -67,6 +72,7 @@ from .matroids import (
     PartitionMatroid,
     PreconditionError,
     UniformMatroid,
+    require_integer,
 )
 from .solver import RainbowAssignment, RainbowInstance, solve
 
@@ -81,34 +87,26 @@ class GenerationError(RuntimeError):
     """Random instance generation exhausted its retry budget."""
 
 
-@dataclass(frozen=True)
-class LatinArray:
-    """Rows of symbols; in row-Latin mode each row is a permutation of
-    1..n."""
-
-    rows: tuple
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-
-    def validate_row_latin(self):
-        expected = set(range(1, self.n + 1))
-        for idx, row in enumerate(self.rows):
-            if len(row) != self.n or set(row) != expected:
-                raise PreconditionError(
-                    f"row {idx} is not a permutation of 1..{self.n}"
-                )
-        return self
+def validate_row_latin(rows):
+    """rows, if each is a permutation of 1..n, n the length of the first
+    row; otherwise a PreconditionError naming the first row that is not.
+    An empty list passes here and ``encode_array`` refuses it."""
+    expected = set(range(1, len(rows[0]) + 1)) if rows else set()
+    for idx, row in enumerate(rows):
+        if len(row) != len(expected) or set(row) != expected:
+            raise PreconditionError(
+                f"row {idx} is not a permutation of 1..{len(expected)}")
+    return rows
 
 
 def random_row_latin(n, m, rng):
+    """m rows, each a random permutation of 1..n, as a tuple of tuples."""
     rows = []
     for _ in range(m):
         row = list(range(1, n + 1))
         rng.shuffle(row)
         rows.append(tuple(row))
-    return LatinArray(tuple(rows), n)
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=64)
@@ -129,10 +127,9 @@ def encode_array(rows, value_matroid=None):
     With ``value_matroid=None`` the values act as symbols: distinct values
     are required, nothing more, which is exactly the row-Latin transversal
     setting.  With a value matroid, cells sharing a value become parallel
-    elements of its lift.
+    elements of its lift.  ``rows`` is any sequence of rows; row-Latin
+    rows can be checked first with ``validate_row_latin``.
     """
-    if isinstance(rows, LatinArray):
-        rows = rows.rows
     rows = [tuple(r) for r in rows]
     if not rows:
         raise PreconditionError("the array needs at least one row")
@@ -165,8 +162,9 @@ def encode_array(rows, value_matroid=None):
 def drisko_instance(n):
     """The tight family: n-1 identity rows plus n-1 cyclically shifted rows,
     2n-2 rows total.  Its lack of a full rainbow transversal is certified by
-    brute force in the tests, never assumed."""
-    if n < 2:
+    brute force in the tests, never assumed.  n must be an ``int`` of at
+    least 2 (a ``bool`` is refused)."""
+    if require_integer("n", n) < 2:
         raise PreconditionError("n must be at least 2")
     row_a = tuple(range(1, n + 1))
     row_b = tuple(list(range(2, n + 1)) + [1])
@@ -299,8 +297,10 @@ def brute_force_rainbow(instance, target):
 
 def max_rainbow(instance, floor=0):
     """The first hit of the largest size from n down to floor + 1, by brute
-    force; None when no size above floor has one."""
-    for target in range(instance.n, floor, -1):
+    force; None when no size above floor has one.  A rainbow set takes at
+    most one element from each family set, so the descent starts at the
+    smaller of n and the family's size."""
+    for target in range(min(instance.n, len(instance.family)), floor, -1):
         best = brute_force_rainbow(instance, target)
         if best is not None:
             return best
@@ -414,12 +414,19 @@ def _order_positions(order, ground_size):
     """Map each element to its index in order; order must be a permutation
     of the ground set, else the first stray, repeated or missing element is
     named.  An entry that is not an ``int``, or is a ``bool``, is a stray
-    even when it equals an element, such as ``1.0`` or ``True``."""
+    even when it equals an element, such as ``1.0`` or ``True``.
+
+    When every entry's type is exactly ``int`` one pass over the types, one
+    length test and one key-set comparison settle a permutation; the
+    element-by-element scan runs only to name a fault."""
+    if set(map(type, order)) <= {int}:
+        position = {x: k for k, x in enumerate(order)}
+        if (len(order) == ground_size
+                and position.keys() == _ground(ground_size)):
+            return position
     position = {}
     for k, x in enumerate(order):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise PreconditionError(
-                f"order element {x!r} is not an integer")
+        require_integer("order element", x)
         if x not in range(ground_size):
             raise PreconditionError(
                 f"order element {x!r} is outside the ground set of size "
@@ -533,9 +540,7 @@ def random_oracle(species, ground_size, min_rank, rng):
     at least min_rank, an ``int`` of at least 1 (a ``bool`` is refused).  A
     draw is accepted on its species' closed-form rank, so it costs no
     predicate call."""
-    if isinstance(min_rank, bool) or not isinstance(min_rank, int):
-        raise PreconditionError(f"min_rank {min_rank!r} is not an integer")
-    if min_rank < 1:
+    if require_integer("min_rank", min_rank) < 1:
         raise PreconditionError(f"min_rank {min_rank!r} is below 1")
     if min_rank > ground_size:
         raise GenerationError(
@@ -594,14 +599,12 @@ def random_instance(species_m, species_n, n, m, seed, ground_size=None):
     n, m and ``ground_size`` (unless None) must be ``int``s, not
     ``bool``s, else ``PreconditionError`` names the parameter before any
     draw."""
-    for name, value in (("n", n), ("m", m), ("ground_size", ground_size)):
-        if value is None and name == "ground_size":
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise PreconditionError(f"{name} {value!r} is not an integer")
+    require_integer("n", n)
+    require_integer("m", m)
+    g = (3 * n if ground_size is None
+         else require_integer("ground_size", ground_size))
     if n < 1 or m < 1:
         raise PreconditionError("n and m must be positive")
-    g = ground_size if ground_size is not None else 3 * n
     if g < n:
         raise GenerationError(
             f"ground_size {g} is smaller than n = {n}: no set of {n} "

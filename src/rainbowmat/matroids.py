@@ -80,6 +80,14 @@ def _integer(value, where):
     return value
 
 
+def require_integer(name, value):
+    """value, if it is an ``int`` that is not a ``bool``; otherwise a
+    PreconditionError naming it.  Checks a size or target a caller passes."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def _entries(values, where):
     """The entries of values as a tuple; a MatroidSpecError naming the field
     if values is not a sequence."""
@@ -727,7 +735,16 @@ SPEC_FIELDS = {kind: cls.fields for kind, cls in _SPECIES.items()}
 def build_matroid(spec, ground_size):
     """Build an oracle from its ``describe()`` form, the exact inverse of
     ``describe``.  ``ground_size`` is checked against the per-element field;
-    a lift's base is built with None, which takes the form's own size."""
+    a lift's base is built with None, which takes the form's own size.
+    More than ``MAX_LIFT_DEPTH`` nested lifts are refused, before any is
+    built, as the lift constructor refuses them."""
+    inner, lifts = spec, 0
+    while isinstance(inner, dict) and inner.get("type") == "lift":
+        lifts += 1
+        if lifts > MAX_LIFT_DEPTH:
+            raise MatroidSpecError(
+                f"base: lifts nest more than {MAX_LIFT_DEPTH} deep")
+        inner = inner.get("base")
     if not isinstance(spec, dict) or "type" not in spec:
         raise MatroidSpecError("matroid description missing 'type'")
     t = spec["type"]

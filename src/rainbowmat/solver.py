@@ -56,7 +56,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 
-from .matroids import PreconditionError
+from .matroids import PreconditionError, require_integer
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +87,7 @@ class RainbowInstance:
     def validate(self):
         if self.m_oracle.ground_size != self.n_oracle.ground_size:
             raise PreconditionError("oracles disagree on ground set size")
-        if self.n < 0:
+        if require_integer("n", self.n) < 0:
             raise PreconditionError("target size must be nonnegative")
         for idx, a in enumerate(self.family):
             if len(a) != self.n:

@@ -66,8 +66,7 @@ def corpus_latin():
     for n in (2, 3, 4, 5):
         rng = random.Random(90 + n)
         for _ in range(LATIN_PER_N):
-            arr = random_row_latin(n, 2 * n - 1, rng)
-            inst = encode_array(arr.rows)
+            inst = encode_array(random_row_latin(n, 2 * n - 1, rng))
             out.append((inst, solve(inst)))
     return out
 

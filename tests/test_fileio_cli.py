@@ -386,8 +386,13 @@ class TestCli:
         # Existing files that are not JSON: this module and an empty file.
         (__file__, f"rows: {__file__} is not valid JSON ("),
         (os.devnull, f"rows: {os.devnull} is not valid JSON (Expecting"),
+        # Rows that parse but are not row-Latin: n is the first row's length.
+        ("1,2;1,1", "row 1 is not a permutation of 1..2\n"),
+        ("1,2,3;2,1", "row 1 is not a permutation of 1..3\n"),
+        ("2,3;3,2", "row 0 is not a permutation of 1..2\n"),
     ], ids=["inline_symbol", "object", "empty", "row_not_list", "fraction",
-            "python_file", "empty_file"])
+            "python_file", "empty_file", "not_permutation", "short_row",
+            "symbols_not_from_one"])
     def test_encode_latin_malformed_rows(self, rows, where, tmp_path,
                                          capsys):
         if not isinstance(rows, str):

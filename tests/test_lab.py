@@ -3,6 +3,7 @@ hypothesis checker."""
 
 import hashlib
 import itertools
+import json
 import random
 import re
 from collections import Counter, deque
@@ -11,7 +12,6 @@ import pytest
 
 from rainbowmat import (
     GraphicMatroid,
-    LatinArray,
     LinearMatroid,
     PartitionMatroid,
     PreconditionError,
@@ -30,12 +30,14 @@ from rainbowmat import (
     verify_instance,
 )
 from rainbowmat import lab
+from rainbowmat.cli import main
 from rainbowmat.lab import (
     SPECIES,
     GenerationError,
     HypothesisError,
     random_oracle,
     random_row_latin,
+    validate_row_latin,
 )
 from rainbowmat.matroids import MatroidOracle
 
@@ -177,7 +179,7 @@ def narrow_search_cases():
     for n in (2, 3, 4, 5):
         for m in range(n, 2 * n - 1):
             for _ in range(4):
-                yield encode_array(random_row_latin(n, m, rng).rows)
+                yield encode_array(random_row_latin(n, m, rng))
 
 
 def random_dependent_families():
@@ -444,6 +446,15 @@ class TestDrisko:
     def test_rejects_small_n(self):
         with pytest.raises(PreconditionError, match="at least 2"):
             drisko_instance(1)
+
+    @pytest.mark.parametrize("n", [2.5, "3", True])
+    def test_n_must_be_an_integer(self, n):
+        # 2.5 used to escape from range as a TypeError, and True was
+        # reported as below 2.
+        with pytest.raises(PreconditionError,
+                           match=f"^n {re.escape(repr(n))} is not an "
+                                 "integer$"):
+            drisko_instance(n)
 
 
 class TestEncodeArray:
@@ -1116,14 +1127,33 @@ class TestVerifyInstance:
 
 class TestLatinArray:
     def test_row_latin_validation(self):
-        LatinArray(((1, 2), (2, 1)), 2).validate_row_latin()
+        validate_row_latin(((1, 2), (2, 1)))
         with pytest.raises(PreconditionError, match="row 1"):
-            LatinArray(((1, 2), (1, 1)), 2).validate_row_latin()
+            validate_row_latin(((1, 2), (1, 1)))
 
     def test_random_row_latin(self):
-        arr = random_row_latin(4, 7, random.Random(0))
-        assert len(arr.rows) == 7
-        arr.validate_row_latin()
+        rows = random_row_latin(4, 7, random.Random(0))
+        assert len(rows) == 7
+        validate_row_latin(rows)
+
+    def test_random_rows_are_pinned(self):
+        # The same RNG stream as when the rows came wrapped in an object.
+        assert random_row_latin(3, 2, random.Random(0)) == ((1, 3, 2),
+                                                            (3, 2, 1))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(1, 2, 3), (1, 2)], r"row 1 is not a permutation of 1\.\.3"),
+        ([(1, 3), (1, 2)], r"row 0 is not a permutation of 1\.\.2"),
+        ([[2, 1], [1, 2, 3]], r"row 1 is not a permutation of 1\.\.2"),
+    ])
+    def test_n_is_the_first_row_length(self, rows, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            validate_row_latin(rows)
+
+    def test_no_rows_are_left_to_encode_array(self):
+        assert validate_row_latin([]) == []
+        with pytest.raises(PreconditionError, match="at least one row"):
+            encode_array(validate_row_latin([]))
 
 
 class TestMaxRainbow:
@@ -1139,13 +1169,15 @@ class TestMaxRainbow:
     @pytest.mark.parametrize("rows, solve_targets, verify_targets", [
         # Drisko n = 3: the sweep leaves size 2, which brute force confirms.
         (((1, 2, 3),) * 2 + ((2, 3, 1),) * 2, [3], [3, 2]),
-        # One row: the seed has size 1 and no size above it exists.
-        (((1, 2, 3),), [3, 2], [3, 2, 1]),
+        # One row: the seed has size 1, and no rainbow set is larger than
+        # the family, so solve asks nothing and verify_instance asks 1.
+        (((1, 2, 3),), [], [1]),
     ])
     def test_callers_descend_from_n(self, rows, solve_targets,
                                     verify_targets, monkeypatch):
-        # solve asks n down to one above its own size, verify_instance asks
-        # n down to 1; both stop at the first hit.
+        # solve asks the smaller of n and the family's size down to one
+        # above its own size, verify_instance asks it down to 1; both stop
+        # at the first hit.
         targets = []
         real = lab.brute_force_rainbow
 
@@ -1159,6 +1191,24 @@ class TestMaxRainbow:
         targets.clear()
         verify_instance(encode_array(rows))
         assert targets == solve_targets + verify_targets
+
+    @pytest.mark.parametrize("command, code", [("solve", 2), ("verify", 0)])
+    def test_no_family_asks_no_target(self, command, code, tmp_path,
+                                      monkeypatch):
+        # No rainbow set is larger than the family.  Descending from n
+        # asked every target from n down: about 1.15 s at n = 200,000, and
+        # hours in silence at n = 10**9.
+        def no_search(instance, target):
+            raise AssertionError(f"brute force asked target {target}")
+
+        monkeypatch.setattr(lab, "brute_force_rainbow", no_search)
+        uniform = {"type": "uniform", "rank": 1}
+        doc = {"ground": ["a"], "matroid_M": uniform, "matroid_N": uniform,
+               "n": 10**9, "family": []}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--in", str(path),
+                     "--out", str(tmp_path / "out.json")]) == code
 
 
 def reference_random_instance(species_m, species_n, n, m, seed, g):

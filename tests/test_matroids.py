@@ -438,6 +438,24 @@ class TestParallelLift:
             build_matroid({"type": "lift", "value_of": [0, 1],
                            "base": oracle.describe()}, 2)
 
+    @pytest.mark.parametrize("lifts", [matroids.MAX_LIFT_DEPTH,
+                                       matroids.MAX_LIFT_DEPTH + 1, 900,
+                                       2000])
+    def test_deep_specs_refused_before_building(self, lifts):
+        # build_matroid builds a base by recursion, which used to raise
+        # RecursionError at 2000 levels and, at 900, an error behind 800
+        # "base: " prefixes.  The chain is now walked first.
+        spec = {"type": "uniform", "rank": 1, "ground_size": 2}
+        for _ in range(lifts):
+            spec = {"type": "lift", "value_of": [1, 0], "base": spec}
+        if lifts <= matroids.MAX_LIFT_DEPTH:
+            assert build_matroid(spec, 2).depth == lifts
+            return
+        with pytest.raises(MatroidSpecError, match=(
+                f"^base: lifts nest more than {matroids.MAX_LIFT_DEPTH} "
+                f"deep$")):
+            build_matroid(spec, 2)
+
 
 class TestKernels:
     """The graphic and linear predicates are kernels below the call counter;

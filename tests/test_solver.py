@@ -106,6 +106,18 @@ class TestValidate:
                            match="target size must be nonnegative"):
             RainbowInstance(m, m, (), -1).validate()
 
+    @pytest.mark.parametrize("n", [2.5, "1", True])
+    def test_instance_target_must_be_an_integer(self, n):
+        # 2.5 escaped from range and "1" from < as a TypeError; True was
+        # solved as 1 and written back as true.  Refused before any
+        # predicate call.
+        m = UniformMatroid(1, 1)
+        with pytest.raises(PreconditionError,
+                           match=f"^n {re.escape(repr(n))} is not an "
+                                 "integer$"):
+            solve(RainbowInstance(m, m, ({0},), n))
+        assert m.independence_calls == 0
+
     @pytest.mark.parametrize("choices, message", [
         ({0: 0, 1: 0}, "assignment reuses an element"),
         ({3: 0}, "assignment uses unknown set index 3"),
@@ -870,34 +882,44 @@ def outcome(check, instance, assignment, trail):
 
 def test_validate_trail_matches_the_span_reference(sweep_rounds):
     # The trails the sweep itself builds from random maximal assignments
-    # (long exchange trails included), each also with one structural
-    # fault, and random trails on valid, M-dependent and N-dependent
-    # ranges, over random species pairs and row-Latin arrays.
+    # and, on random species pairs, from stuck states (long exchange
+    # trails included), each also with one structural fault, and random
+    # trails on valid, M-dependent and N-dependent ranges, over random
+    # species pairs and row-Latin arrays.
     rng = random.Random(2024)
     pairs = (("uniform", "partition"), ("partition", "graphic"),
              ("graphic", "linear"), ("linear", "linear"))
-    instances = [random_instance(a, b, n, 2 * n - 1, seed,
-                                 ground_size=n + 3)
-                 for a, b in pairs for n in (3, 4) for seed in range(6)]
-    instances += [encode_array(random_row_latin(n, 2 * n - 1, rng).rows)
-                  for n in (3, 4, 5) for _ in range(6)]
+    species = [random_instance(a, b, n, 2 * n - 1, seed, ground_size=n + 3)
+               for a, b in pairs for n in (3, 4) for seed in range(6)]
+    arrays = [encode_array(random_row_latin(n, 2 * n - 1, rng))
+              for n in (3, 4, 5) for _ in range(6)]
     cases = []
-    for instance in instances:
+
+    def swept(instance, assignment):
+        # The trails the sweep builds from assignment, and each with a fault.
+        start = len(sweep_rounds)
+        _sweep_for_augmenting_trail(instance, assignment)
+        built = [(i, a, result.trail) for i, a, result in sweep_rounds[start:]]
+        return built + [(i, a, fault(i, a, t, rng)) for i, a, t in built]
+
+    for instance in species + arrays:
         for _ in range(3):
             assignment = random_assignment(instance, rng)
             if assignment.size() < instance.n:
-                start = len(sweep_rounds)
-                _sweep_for_augmenting_trail(instance, assignment)
-                built = [(i, a, result.trail)
-                         for i, a, result in sweep_rounds[start:]]
-                cases += built + [(i, a, fault(i, a, t, rng))
-                                  for i, a, t in built]
+                cases += swept(instance, assignment)
             for dependent in (None, "M", "N"):
                 if dependent is not None:
                     assignment = random_assignment(instance, rng, dependent)
                 cases += [(instance, assignment,
                            random_trail(instance, assignment, rng))
                           for _ in range(8)]
+    # Random maximal assignments of 2n - 1 random pairs almost always reach
+    # n, so the sweeps on species pairs also start from stuck states.
+    start = len(sweep_rounds)
+    for instance in species:
+        for assignment in stuck_states(instance, cap=10):
+            cases += swept(instance, assignment)
+    species_rounds = sweep_rounds[start:]
 
     answers, errors, long_trails, long_accepted = set(), set(), 0, 0
     for instance, assignment, trail in cases:
@@ -918,11 +940,13 @@ def test_validate_trail_matches_the_span_reference(sweep_rounds):
     print(f"\n{len(cases)} trails, {long_trails} with two or more non-final "
           f"steps ({long_accepted} valid); the sweep built "
           f"{long_sweep_trails(sweep_rounds)} of {len(sweep_rounds)} with "
-          f"two or more steps")
+          f"two or more steps, {long_sweep_trails(species_rounds)} of "
+          f"{len(species_rounds)} from stuck states of species pairs")
     assert answers == {True, False, TrailStructureError}
     assert errors == set(STRUCTURAL)
     assert long_accepted >= 20
     assert long_sweep_trails(sweep_rounds) >= 20
+    assert long_sweep_trails(species_rounds) >= 10
 
 
 def test_drisko_flip_predicate_calls_bounded():
@@ -982,7 +1006,7 @@ def pinned_inputs():
                 yield random_instance(species_m, species_n, n, 2 * n - 1, seed)
     rng = random.Random(16)
     for n in (3, 4, 5, 6) * 4:
-        yield encode_array(random_row_latin(n, 2 * n - 1, rng).rows)
+        yield encode_array(random_row_latin(n, 2 * n - 1, rng))
 
 
 def test_solver_answers_pinned():
